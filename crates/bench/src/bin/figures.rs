@@ -22,7 +22,7 @@ use gridscale_bench::runner::{run_case, RunProfile};
 use gridscale_bench::{ablation, calibrate, chart, render};
 use gridscale_core::{CaseId, Preset};
 use gridscale_rms::RmsKind;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::exit;
 
 const USAGE: &str = "usage: figures <table1..5|fig2..7|all|calibrate|calibrate-tau|ablation-topology|ablation-suppression|ablation-rp-overhead|ablation-bandwidth|shard-memory> [--smoke|--quick|--paper] [--seed N] [--out DIR] [--chart]";
@@ -134,9 +134,13 @@ fn main() {
             }
         }
         "fig2" | "fig3" | "fig4" | "fig5" | "fig6" | "fig7" | "all" => {
-            let mut outputs = HashMap::new();
+            let mut outputs = BTreeMap::new();
             for case in needed {
                 eprintln!("running case {} ({:?} profile)…", case.number(), profile);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "progress line on stderr; never feeds sim state"
+                )]
                 let t0 = std::time::Instant::now();
                 let out = run_case(case, profile, seed);
                 eprintln!(

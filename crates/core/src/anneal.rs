@@ -12,8 +12,14 @@
 //! overhead objective.
 
 use gridscale_desim::SimRng;
-use std::collections::HashMap;
 use std::hash::Hash;
+
+/// The energy memo: keyed by a generic `S` that is `Hash` but not `Ord`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "energy memo keyed by generic Hash-only S; lookups only, never iterated"
+)]
+type Memo<S> = std::collections::HashMap<S, f64>;
 
 /// Annealing hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,8 +141,7 @@ pub struct BatchSearch<S> {
     root: SimRng,
     inits: Vec<S>,
     phase: Phase<S>,
-    // audit:allow(hash-iter, reason="energy memo keyed by generic Hash-only S; lookups only, never iterated")
-    cache: HashMap<S, f64>,
+    cache: Memo<S>,
     misses: usize,
     /// The states the last `pending` handed out, awaiting `supply`.
     missing: Vec<S>,
@@ -170,8 +175,7 @@ impl<S: Clone + Eq + Hash> BatchSearch<S> {
             root: SimRng::new(cfg.seed),
             inits: inits.to_vec(),
             phase: Phase::Seeds,
-            // audit:allow(hash-iter, reason="same lookup-only memo")
-            cache: HashMap::new(),
+            cache: Memo::new(),
             misses: 0,
             missing: Vec::new(),
             current: inits[0].clone(),

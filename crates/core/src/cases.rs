@@ -5,7 +5,7 @@ use gridscale_desim::json::{Json, ToJson};
 use gridscale_gridsim::Enablers;
 
 /// Which scaling strategy an experiment follows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CaseId {
     /// Case 1 (Table 2): scale the RP by network size; RMS grows
     /// proportionately. Figures 2.

@@ -585,7 +585,10 @@ fn run_replication(
     opts: &MeasureOptions,
     rep: usize,
 ) -> RepOutcome {
-    // audit:allow(wall-clock, reason="rep_wall_ms telemetry only; never feeds sim state")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "rep_wall_ms telemetry only; never feeds sim state"
+    )]
     let started = Instant::now();
     let (r, built_template) = match opts.replication_mode {
         ReplicationMode::FreshWorld => {
@@ -788,7 +791,10 @@ impl Wave {
 
     /// Runs `f`, charging its wall time to this point.
     fn timed<R>(&self, f: impl FnOnce() -> R) -> R {
-        // audit:allow(wall-clock, reason="wall_ms telemetry only; never feeds sim state")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall_ms telemetry only; never feeds sim state"
+        )]
         let started = Instant::now();
         let r = f();
         let ns = started.elapsed().as_nanos() as u64;

@@ -8,7 +8,6 @@
 
 use crate::cases::CaseId;
 use crate::measure::{measure_rms, MeasureOptions};
-use crate::sweep::parallel_map;
 use gridscale_gridsim::OverheadCosts;
 use gridscale_rms::RmsKind;
 
@@ -60,8 +59,9 @@ pub struct SensitivityRow {
 }
 
 /// Runs the sensitivity sweep: baseline plus every `(parameter, factor)`
-/// combination, in parallel. Each run is a full (typically reduced-size)
-/// measurement of `(kind, case)`.
+/// combination, in that order. Each row is a full (typically
+/// reduced-size) measurement of `(kind, case)` on its own pool of
+/// `base_opts.threads` workers.
 pub fn cost_sensitivity(
     kind: RmsKind,
     case: CaseId,
@@ -78,26 +78,26 @@ pub fn cost_sensitivity(
             jobs.push((p.to_string(), f, opts));
         }
     }
-    // Each job already parallelizes over k internally; run rows serially
-    // per worker to bound memory.
-    parallel_map(&jobs, base_opts.threads.max(1), |(name, factor, opts)| {
-        let curve = measure_rms(kind, case, opts);
-        let v = curve.verdict();
-        let worst = v
-            .margins
-            .iter()
-            .map(|&(_, m)| m)
-            .fold(f64::INFINITY, f64::min);
-        let g0 = curve.points.first().map(|p| p.g).unwrap_or(1.0);
-        let gn = curve.points.last().map(|p| p.g).unwrap_or(1.0);
-        SensitivityRow {
-            parameter: name.clone(),
-            factor: *factor,
-            scalable_through: v.scalable_through,
-            worst_margin: if worst.is_finite() { worst } else { 0.0 },
-            g_growth: gn / g0.max(1e-12),
-        }
-    })
+    jobs.iter()
+        .map(|(name, factor, opts)| {
+            let curve = measure_rms(kind, case, opts);
+            let v = curve.verdict();
+            let worst = v
+                .margins
+                .iter()
+                .map(|&(_, m)| m)
+                .fold(f64::INFINITY, f64::min);
+            let g0 = curve.points.first().map(|p| p.g).unwrap_or(1.0);
+            let gn = curve.points.last().map(|p| p.g).unwrap_or(1.0);
+            SensitivityRow {
+                parameter: name.clone(),
+                factor: *factor,
+                scalable_through: v.scalable_through,
+                worst_margin: if worst.is_finite() { worst } else { 0.0 },
+                g_growth: gn / g0.max(1e-12),
+            }
+        })
+        .collect()
 }
 
 /// Fraction of perturbed rows whose `scalable_through` verdict equals the

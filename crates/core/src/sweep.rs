@@ -1,67 +1,15 @@
-//! Deterministic parallel execution of experiment grids.
+//! Deterministic parallel execution of a measurement.
 //!
-//! Two shapes of parallelism cover every sweep. Independent items go
-//! through [`parallel_map`]: a scoped-thread work-stealing map with
-//! results written into pre-indexed slots. Work with dependencies — a
-//! scalability measurement's chain of world builds, annealing rounds and
-//! replications — goes through one [`TaskPool`]: tasks that spawn their
-//! successors, run in priority order by a fixed set of workers. Neither
-//! shares mutable simulation state, so the schedule never reaches a
+//! One [`TaskPool`] runs a scalability measurement's chain of world
+//! builds, annealing rounds and replications: tasks that spawn their
+//! successors, run in priority order by a fixed set of workers. Tasks
+//! share no mutable simulation state, so the schedule never reaches a
 //! result.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-
-/// Applies `f` to every item, using up to `threads` worker threads, and
-/// returns the results **in input order** (unlike channel-based gathering,
-/// output order does not depend on scheduling).
-///
-/// `threads == 1` degenerates to a plain sequential map, which is handy
-/// for debugging nondeterminism suspicions.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    assert!(threads >= 1, "need at least one worker");
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if threads == 1 || n == 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let workers = threads.min(n);
-    // A panicking worker re-panics here once every worker has joined.
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(&items[i]);
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every slot filled")
-        })
-        .collect()
-}
 
 /// One queued task of a [`TaskPool`].
 type Task<'env, P> = Box<dyn FnOnce(&TaskPool<'env, P>) + Send + 'env>;
@@ -184,44 +132,7 @@ pub fn default_threads(cap: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preserves_input_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(&items, 8, |&x| x * x);
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn sequential_and_parallel_agree() {
-        let items: Vec<u64> = (0..37).collect();
-        let seq = parallel_map(&items, 1, |&x| x.wrapping_mul(0x9E3779B9) >> 7);
-        let par = parallel_map(&items, 6, |&x| x.wrapping_mul(0x9E3779B9) >> 7);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn empty_and_singleton() {
-        let empty: Vec<u32> = vec![];
-        assert!(parallel_map(&empty, 4, |&x| x).is_empty());
-        assert_eq!(parallel_map(&[42u32], 4, |&x| x + 1), vec![43]);
-    }
-
-    #[test]
-    fn more_threads_than_items() {
-        let items = [1u32, 2, 3];
-        assert_eq!(parallel_map(&items, 64, |&x| x * 10), vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn all_workers_participate_eventually() {
-        // Smoke test that the atomic work counter hands out every index
-        // exactly once even under contention.
-        let items: Vec<usize> = (0..500).collect();
-        let out = parallel_map(&items, 16, |&x| x);
-        assert_eq!(out, items);
-    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn task_pool_runs_spawned_chains_to_completion() {

@@ -140,7 +140,7 @@ impl<E> Engine<E> {
             if self.processed >= self.max_events {
                 break RunOutcome::EventBudgetExhausted;
             }
-            // Unwrap is fine: peek_time just returned Some.
+            #[expect(clippy::expect_used, reason = "peek_time just returned Some")]
             let ev = self
                 .queue
                 .pop()

@@ -195,7 +195,7 @@ impl Accounting {
     /// cluster order for `F`/`H`/response) — part of the
     /// bit-reproducibility contract, so the summation order must never
     /// change.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "report inputs have many owners")]
     pub(crate) fn report(
         &self,
         policy: &str,

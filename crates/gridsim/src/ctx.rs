@@ -222,6 +222,7 @@ impl Dispatch for Ctx<'_, '_> {
     }
 
     fn dispatch_least_loaded(&mut self, c: usize, job: Job) {
+        #[expect(clippy::expect_used, reason = "GridMap never builds an empty cluster")]
         let pos = self.core.hot.sched.views[self.core.hot.sched.local(c)]
             .least_loaded()
             .expect("clusters are never empty (GridMap guarantee)");

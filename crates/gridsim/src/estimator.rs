@@ -51,7 +51,7 @@ impl EstimatorBank {
 
     /// Estimator `e` ingests one status update for a resource of
     /// `cluster`: charge its server, buffer for the resource's cluster.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "split borrows of kernel state")]
     pub(crate) fn ingest(
         &mut self,
         now: SimTime,
@@ -73,7 +73,7 @@ impl EstimatorBank {
     /// per-cluster buffer as one batch message to that cluster's
     /// scheduler, charging the batch-fixed cost per batch. Sends are
     /// stamped with the estimator's own lane (`C + e`).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "split borrows of kernel state")]
     pub(crate) fn flush(
         &mut self,
         now: SimTime,

@@ -89,7 +89,7 @@ impl FlowState {
     /// because strict `<` keeps the first winner. Returns the chosen
     /// path, its admission and its delivery time, or `None` when the pair
     /// has no candidate path.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "split borrows of kernel state")]
     pub(crate) fn route(
         &mut self,
         lane: usize,
@@ -243,7 +243,7 @@ mod tests {
 
     /// Books a flow on candidate `p`: every other candidate's delivery
     /// is infinite, so `p` is the strict winner.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "split borrows of kernel state")]
     fn admit_on(
         fs: &mut FlowState,
         lane: usize,
@@ -433,7 +433,7 @@ mod tests {
             }
 
             /// The candidate loop the fabric ran per cross-cluster send.
-            #[allow(clippy::too_many_arguments)]
+            #[allow(clippy::too_many_arguments, reason = "mirrors FlowState::route")]
             pub(super) fn route(
                 &mut self,
                 lane: usize,
@@ -462,7 +462,7 @@ mod tests {
                 Some((best, adm, adm.finish + prop(&candidates[best as usize])))
             }
 
-            #[allow(clippy::too_many_arguments)]
+            #[allow(clippy::too_many_arguments, reason = "mirrors FlowState::route")]
             fn predict(
                 &self,
                 lane: usize,
@@ -478,7 +478,7 @@ mod tests {
                 finish_of(start, rate, size, depart, links, table)
             }
 
-            #[allow(clippy::too_many_arguments)]
+            #[allow(clippy::too_many_arguments, reason = "mirrors FlowState::route")]
             fn admit(
                 &mut self,
                 lane: usize,

@@ -62,7 +62,8 @@ pub(crate) struct SimCore {
     /// a splitmix64-style mixer. The run fingerprint is [`fold_lanes`] of
     /// this vector; two runs with equal fingerprints delivered the same
     /// events in the same per-lane order — the runtime half of the
-    /// determinism contract (`gridscale audit` checks the static half).
+    /// determinism contract (clippy's lints in `clippy.toml` check the
+    /// static half; DESIGN.md §6.4).
     pub(crate) lane_fp: Vec<u64>,
     /// Optional time-series recorder.
     pub(crate) timeline: Option<Timeline>,
@@ -232,7 +233,7 @@ impl SimCore {
 
     /// Sends one message over the link fabric from `src_lane` (see
     /// [`NetFabric::send`]).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "mirrors NetFabric::send")]
     pub(crate) fn send_net(
         &mut self,
         now: SimTime,
@@ -293,6 +294,7 @@ impl SimCore {
             GridEvent::Finish { res } => {
                 let r = res as usize;
                 let rl = self.hot.rp.local(r);
+                #[expect(clippy::expect_used, reason = "Finish follows a job start")]
                 let job = self.hot.rp.running[rl]
                     .take()
                     .expect("Finish without a running job");

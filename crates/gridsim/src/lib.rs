@@ -44,6 +44,16 @@
 //! | `sim` | templates, pooling, run paths, sharded executor | repeated measurements |
 
 #![warn(missing_docs)]
+// A panic mid-replay tears a sharded run down at a scheduling-dependent
+// point, so each panic site left states its invariant in an `#[expect]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod accounting;
 mod config;

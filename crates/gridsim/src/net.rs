@@ -82,7 +82,7 @@ impl NetFabric {
     /// and contention only ever *adds* transfer time on top ([`crate::flow`]),
     /// so capacity-aware delivery is never earlier than the legacy
     /// minimum.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "split borrows of kernel state")]
     pub(crate) fn send(
         &mut self,
         now: SimTime,
@@ -100,6 +100,7 @@ impl NetFabric {
         let (lat, hops) = if from == to {
             (0.0, 0.0)
         } else {
+            #[expect(clippy::expect_used, reason = "generated topologies are connected")]
             let lat = shared
                 .routing
                 .latency(from, to)

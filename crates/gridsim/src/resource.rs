@@ -91,7 +91,7 @@ impl ResourcePool {
 
     /// A dispatched job lands at resource `r`: pay the RP job-control
     /// cost (`H`), then run it now or queue it FIFO.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "split borrows of kernel state")]
     pub(crate) fn enqueue(
         &mut self,
         now: SimTime,
@@ -115,7 +115,7 @@ impl ResourcePool {
 
     /// Books a finished `job` (response time, deadline benefit → `F`) and
     /// releases its dependency children, if any.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "split borrows of kernel state")]
     pub(crate) fn complete_job(
         &mut self,
         now: SimTime,

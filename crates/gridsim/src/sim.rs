@@ -359,6 +359,7 @@ impl SimTemplate {
     /// Builds the world for `cfg` (topology, routing tables, grid map,
     /// workload trace, layout).
     pub fn new(cfg: &GridConfig) -> SimTemplate {
+        #[expect(clippy::expect_used, reason = "bad input panics until typed errors")]
         cfg.validate().expect("invalid GridConfig");
         SimTemplate::from_arc(Arc::new(cfg.clone()), cfg.seed)
     }
@@ -677,6 +678,7 @@ impl SimTemplate {
         run: Run,
         drive: impl FnOnce(&mut [ShardBox<'p, P>], &Rounds),
     ) -> (SimReport, ShardSummary, Option<Timeline>) {
+        #[expect(clippy::expect_used, reason = "bad input panics until typed errors")]
         enablers.validate().expect("invalid enablers");
         let shared = &self.shared;
         let shards = plan.shards as usize;
@@ -797,7 +799,8 @@ impl SimTemplate {
             // The 1-shard core already holds the global tallies.
             solo.sim.core.report(name, horizon, events_total)
         } else {
-            // audit:allow(shard-merge, reason="boxes are in ascending shard order: workers only borrow them, nothing is gathered")
+            // Boxes are in ascending shard order: workers only borrow
+            // them, nothing is gathered.
             self.merge_shards(&boxes, &scopes, name, horizon, events_total)
         };
         debug_assert_eq!(
@@ -877,7 +880,8 @@ impl SimTemplate {
         let mut lane_fp = vec![0u64; layout.n_lanes()];
         for (b, scope) in boxes.iter().zip(scopes) {
             let core = &b.sim.core;
-            // audit:allow(shard-merge, reason="boxes stay in ascending shard order and scatter targets are disjoint across shards")
+            // Boxes stay in ascending shard order and scatter targets
+            // are disjoint across shards.
             acct.absorb_shard(&core.hot.acct, scope);
             for (rl, &rg) in scope.resources.iter().enumerate() {
                 busy[rg as usize] += core.hot.rp.busy[rl];
@@ -979,7 +983,8 @@ fn drive_workers<P: Policy + Send>(boxes: &mut [ShardBox<'_, P>], rounds: &Round
         // closures, so without it the next run's workers can start while
         // these still hold their malloc arenas, and peak memory creeps up.
         for h in handles {
-            // audit:allow(barrier-blocking, reason="join runs after each worker's last round; no round is in flight")
+            // Joins after each worker's last round: no round is in flight.
+            #[expect(clippy::expect_used, reason = "re-raises a shard worker's panic")]
             h.join().expect("shard worker panicked");
         }
     });
@@ -1003,7 +1008,8 @@ fn window_loop<P: Policy + ?Sized>(
             let outboxes = b.sim.route.iter_mut().flat_map(|r| r.outbox.iter_mut());
             for (dest, out) in outboxes.enumerate().filter(|(_, out)| !out.is_empty()) {
                 rounds.inboxes[dest][src]
-                    // audit:allow(barrier-blocking, reason="slot (dest, src) is written only by src's owner in phase A; never contended")
+                    // Slot (dest, src) is written only by src's owner in
+                    // phase A: never contended.
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .append(out);
@@ -1015,7 +1021,8 @@ fn window_loop<P: Policy + ?Sized>(
         // publish each shard's next event time.
         for b in owned.iter_mut() {
             for slot in &rounds.inboxes[b.shard] {
-                // audit:allow(barrier-blocking, reason="phase B drains only this worker's own inbox row; the flush barrier already passed")
+                // Only this worker drains its own inbox row, and the
+                // flush barrier already passed: never contended.
                 let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner());
                 for (at, seq, ev) in slot.drain(..) {
                     b.engine.queue_mut().schedule_keyed(at, seq, ev);

@@ -81,6 +81,7 @@ impl Timeline {
     }
 
     /// Peak of a signal over the run (`None` if empty).
+    #[expect(clippy::unwrap_used, reason = "sampled signals are never NaN")]
     pub fn peak<F: Fn(&Sample) -> f64>(&self, f: F) -> Option<(u64, f64)> {
         self.samples
             .iter()
@@ -98,6 +99,7 @@ impl Timeline {
         let stride = self.samples.len().div_ceil(max_points);
         let mut samples: Vec<Sample> = self.samples.iter().step_by(stride).copied().collect();
         if samples.last() != self.samples.last() {
+            #[expect(clippy::expect_used, reason = "longer than max_points, so nonempty")]
             samples.push(*self.samples.last().expect("nonempty"));
         }
         Timeline {

@@ -75,7 +75,7 @@ impl Layout {
         let mut res_at_node = vec![u32::MAX; n_nodes];
         let mut node_lane = vec![u32::MAX; n_nodes];
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); n_clusters];
-        #[allow(clippy::needless_range_loop)]
+        #[allow(clippy::needless_range_loop, reason = "index spans parallel tables")]
         for ci in 0..n_clusters {
             for (pos, &node) in map.cluster_resources(ci).iter().enumerate() {
                 let idx = res_node.len() as u32;
@@ -111,6 +111,10 @@ impl Layout {
                 let home = match routing.anchor_of(node) {
                     Some(a) => a,
                     None => {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "generated topologies are connected"
+                        )]
                         let s = routing
                             .nearest(node, schedulers)
                             .expect("generated topologies are connected");
@@ -248,6 +252,7 @@ impl ShardPlan {
     /// ≥ 1 cluster per shard by construction; `max_shards` is normally the
     /// host core count. Degenerate worlds (one cluster, one core) fall
     /// back to the single-shard plan.
+    #[expect(clippy::expect_used, reason = "cap >= 2 yields at least one candidate")]
     pub(crate) fn auto(shared: &SharedWorld, max_shards: usize) -> ShardPlan {
         let n_clusters = shared.layout.members.len();
         let cap = max_shards.clamp(1, n_clusters.max(1));
@@ -418,7 +423,7 @@ impl ShardPlan {
         // Ascending global order per kind ⇒ each shard's local order is
         // the global order restricted to its partition, which keeps merge
         // scatters and local fold orders deterministic.
-        #[allow(clippy::needless_range_loop)] // parallel tables share the index
+        #[allow(clippy::needless_range_loop, reason = "index spans parallel tables")]
         for c in 0..nc {
             let s = self.shard_of_lane[c] as usize;
             cluster_local[c] = clusters[s].len() as u32;
@@ -428,7 +433,7 @@ impl ShardPlan {
                 resources[s].push(r);
             }
         }
-        #[allow(clippy::needless_range_loop)] // parallel tables share the index
+        #[allow(clippy::needless_range_loop, reason = "index spans parallel tables")]
         for e in 0..ne {
             let s = self.shard_of_lane[nc + e] as usize;
             est_local[e] = estimators[s].len() as u32;
@@ -561,7 +566,7 @@ impl LaneScope {
 /// hierarchical routing lower-bounds them by the anchor-to-anchor
 /// distance of the shards' anchor sets (safe: every modelled latency is
 /// `up + D + up ≥ D`).
-#[allow(clippy::needless_range_loop)] // loops index several parallel tables
+#[allow(clippy::needless_range_loop, reason = "index spans parallel tables")]
 fn cross_shard_min_latency(shared: &SharedWorld, shard_of_lane: &[u32], shards: usize) -> Vec<u64> {
     let layout = &shared.layout;
     let routing = &shared.routing;

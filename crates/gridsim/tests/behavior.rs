@@ -510,18 +510,38 @@ mod timeline {
 
     #[test]
     fn timeline_exposes_saturation() {
-        // A deliberately overloaded single scheduler: backlog must grow
-        // over time instead of hovering near zero.
+        // A deliberately overloaded single scheduler. Every job costs it
+        // recv_job + decision_base + decision_per_candidate × members
+        // ≈ 0.3 + 80 + 0.002 × 60 ≈ 80.4 ticks, and jobs arrive every
+        // 1 / 0.025 = 40 ticks on average, so ρ ≈ 2.0. Its backlog (work
+        // committed beyond now) is then the work arrived minus the time
+        // elapsed, and grows by ρ − 1 ≈ 1 tick per tick while jobs arrive.
         let mut cfg = base_cfg();
         cfg.schedulers = 1;
-        cfg.costs.decision_base = 40.0; // far beyond the arrival budget
+        cfg.costs.decision_base = 80.0;
+        let costs = cfg.costs;
+        let rho = cfg.workload.arrival_rate * (costs.recv_job + costs.decision_base);
+        assert!(
+            rho > 1.9,
+            "the premise is an overloaded scheduler: ρ = {rho}"
+        );
         let template = SimTemplate::new(&cfg);
         let (_, tl) = template.run_with_timeline(cfg.enablers, &mut LocalOnly, 2_000);
-        let first = tl.samples()[1].rms_backlog;
-        let peak = tl.peak(|s| s.rms_backlog).unwrap().1;
+        let arrivals_end = cfg.workload.duration.ticks();
+        let window: Vec<(u64, f64)> = tl
+            .series(|s| s.rms_backlog)
+            .into_iter()
+            .filter(|&(at, _)| at > 0 && at <= arrivals_end)
+            .collect();
+        let (&(t0, b0), &(t1, b1)) = (window.first().unwrap(), window.last().unwrap());
+        let growth = (b1 - b0) / (t1 - t0) as f64;
+        // Poisson arrivals move the growth rate over this window by about
+        // ±0.2 from seed to seed; half of ρ − 1 either way leaves room.
         assert!(
-            peak > first + 1_000.0,
-            "backlog must diverge under overload: first {first}, peak {peak}"
+            (0.5 * (rho - 1.0)..1.5 * (rho - 1.0)).contains(&growth),
+            "backlog must grow at about ρ − 1 = {:.2} per tick, grew {growth:.2} \
+             ({b0:.0} at {t0} → {b1:.0} at {t1})",
+            rho - 1.0
         );
     }
 

@@ -25,6 +25,16 @@
 //! [`RmsPolicy`] enum used on measurement hot paths.
 
 #![warn(missing_docs)]
+// A panic mid-replay tears a sharded run down at a scheduling-dependent
+// point, so each panic site left states its invariant in an `#[expect]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod auction;
 pub mod baselines;

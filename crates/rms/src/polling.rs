@@ -115,7 +115,7 @@ impl PollPlacer {
     /// Ingests a poll reply; when the last expected reply arrives, decides
     /// and places the held job. Returns `true` if the token belonged to
     /// this placer.
-    #[allow(clippy::too_many_arguments)] // mirrors the PollReply fields
+    #[allow(clippy::too_many_arguments, reason = "mirrors the PollReply fields")]
     pub fn on_reply(
         &mut self,
         ctx: &mut Ctx,

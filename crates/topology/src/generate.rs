@@ -183,7 +183,7 @@ pub fn transit_stub(
         }
     }
     // Stub domains.
-    #[allow(clippy::needless_range_loop)]
+    #[allow(clippy::needless_range_loop, reason = "index spans parallel tables")]
     for t in 0..transits {
         for s in 0..stubs_per_transit {
             let gateway = transit_nodes[t][s % transit_size];

@@ -9,7 +9,7 @@ use gridscale_topology::{Graph, GridMap, NodeId, Routing, RoutingTable};
 fn floyd_warshall(g: &Graph) -> Vec<Vec<Option<u64>>> {
     let n = g.node_count();
     let mut d = vec![vec![None::<u64>; n]; n];
-    #[allow(clippy::needless_range_loop)]
+    #[allow(clippy::needless_range_loop, reason = "index spans matrix rows")]
     for v in 0..n {
         d[v][v] = Some(0);
         for l in g.neighbors(v as NodeId) {
@@ -20,7 +20,7 @@ fn floyd_warshall(g: &Graph) -> Vec<Vec<Option<u64>>> {
             }
         }
     }
-    #[allow(clippy::needless_range_loop)]
+    #[allow(clippy::needless_range_loop, reason = "index spans matrix rows")]
     for k in 0..n {
         for i in 0..n {
             let Some(dik) = d[i][k] else { continue };
@@ -115,7 +115,7 @@ fn grid_map_partition_invariants() {
         let rt = Routing::Exact(RoutingTable::build(&g));
         let m = GridMap::build(&g, &rt, scheds, ests, frac);
 
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for ci in 0..m.cluster_count() {
             assert!(!m.cluster_resources(ci).is_empty(), "cluster {ci} empty");
             for &r in m.cluster_resources(ci) {

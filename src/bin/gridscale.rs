@@ -12,9 +12,6 @@
 //! gridscale trace   [--rate 0.05] [--duration 20000] [--points 1] [--seed 7] [--swf]
 //! gridscale topo    --kind ba|waxman|ts [--nodes 300] [--seed 7]
 //! gridscale models
-//! gridscale audit   [--root DIR] [--json REPORT.json] [--sarif REPORT.sarif]
-//!                   [--deny-warnings] [--no-call-graph] [--no-baseline]
-//!                   [--baseline FILE] [--write-baseline]
 //! ```
 //!
 //! `run` simulates one configuration; `measure` executes the paper's full
@@ -25,11 +22,7 @@
 //! value and verdict margin, writing per-point tuning telemetry to
 //! `BENCH_tuning.json`; `trace` generates (optionally SWF) workloads;
 //! `topo` generates a topology and prints its structural metrics; `models`
-//! lists the RMS models; `audit` runs the workspace determinism linter in
-//! call-graph mode (rules D1–D9 plus cross-file taint flow, checked
-//! against the committed `audit-baseline.toml`; `--no-call-graph` for
-//! per-file-only linting — see the `gridscale-audit` crate and
-//! DESIGN.md §6.4).
+//! lists the RMS models.
 //!
 //! Each subcommand accepts only the flags listed above: any other
 //! `--flag` exits with status 2 instead of running with a default.
@@ -38,7 +31,7 @@
 
 use gridscale::desim::json::ToJson;
 use gridscale::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::exit;
 
 /// The flags each subcommand reads.
@@ -78,8 +71,8 @@ const TOPO_FLAGS: &[&str] = &["kind", "nodes", "seed"];
 /// Parses `--key [value]` pairs, exiting with status 2 on a positional
 /// argument or on a key `cmd` does not read (a typo such as `--thread`
 /// must not silently run with the default).
-fn parse_flags(cmd: &str, args: &[String], accepted: &[&str]) -> HashMap<String, String> {
-    let mut out = HashMap::new();
+fn parse_flags(cmd: &str, args: &[String], accepted: &[&str]) -> BTreeMap<String, String> {
+    let mut out = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
@@ -106,7 +99,7 @@ fn parse_flags(cmd: &str, args: &[String], accepted: &[&str]) -> HashMap<String,
     out
 }
 
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
+fn get<T: std::str::FromStr>(flags: &BTreeMap<String, String>, key: &str, default: T) -> T {
     match flags.get(key) {
         None => default,
         Some(v) => v.parse().unwrap_or_else(|_| {
@@ -119,7 +112,7 @@ fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default
 /// Parses `--shards`: a positive count, or `auto` → the `0` sentinel
 /// [`MeasureOptions::shards`] understands as "pick shards and workers
 /// from the topology and the host core count".
-fn shards_flag(flags: &HashMap<String, String>) -> usize {
+fn shards_flag(flags: &BTreeMap<String, String>) -> usize {
     match flags.get("shards").map(String::as_str) {
         Some("auto") => 0,
         _ => get(flags, "shards", 1usize).max(1),
@@ -130,7 +123,7 @@ fn shards_flag(flags: &HashMap<String, String>) -> usize {
 /// scale, with `--bw-paths` picking the virtual-link fan-out. `None` when
 /// absent — each scaling case then keeps its own bandwidth default. An
 /// invalid scale (zero, negative, NaN, infinite) exits with status 2.
-fn bw_flag(flags: &HashMap<String, String>) -> Option<BandwidthConfig> {
+fn bw_flag(flags: &BTreeMap<String, String>) -> Option<BandwidthConfig> {
     let v = flags.get("bw")?;
     let capacity_scale = if v == "true" {
         0.05
@@ -152,7 +145,7 @@ fn bw_flag(flags: &HashMap<String, String>) -> Option<BandwidthConfig> {
     Some(bw)
 }
 
-fn model_of(flags: &HashMap<String, String>) -> RmsKind {
+fn model_of(flags: &BTreeMap<String, String>) -> RmsKind {
     let name = flags.get("model").map(String::as_str).unwrap_or("LOWEST");
     RmsKind::from_name(name).unwrap_or_else(|| {
         eprintln!("unknown model '{name}'; try `gridscale models`");
@@ -178,7 +171,7 @@ fn cmd_models() {
     println!("extensions:\n  HIER     (two-level scheduler hierarchy)");
 }
 
-fn cmd_run(flags: HashMap<String, String>) {
+fn cmd_run(flags: BTreeMap<String, String>) {
     let kind = model_of(&flags);
     let nodes = get(&flags, "nodes", 170usize);
     let schedulers = get(
@@ -232,7 +225,7 @@ fn cmd_run(flags: HashMap<String, String>) {
     );
 }
 
-fn cmd_measure(flags: HashMap<String, String>) {
+fn cmd_measure(flags: BTreeMap<String, String>) {
     let kind = model_of(&flags);
     let case = match get(&flags, "case", 1u32) {
         1 => CaseId::NetworkSize,
@@ -363,7 +356,7 @@ fn cmd_measure(flags: HashMap<String, String>) {
     );
 }
 
-fn cmd_trace(flags: HashMap<String, String>) {
+fn cmd_trace(flags: BTreeMap<String, String>) {
     let cfg = WorkloadConfig {
         arrival_rate: get(&flags, "rate", 0.05),
         duration: SimTime::from_ticks(get(&flags, "duration", 20_000u64)),
@@ -383,7 +376,7 @@ fn cmd_trace(flags: HashMap<String, String>) {
     );
 }
 
-fn cmd_topo(flags: HashMap<String, String>) {
+fn cmd_topo(flags: BTreeMap<String, String>) {
     let nodes = get(&flags, "nodes", 300usize);
     let mut rng = SimRng::new(get(&flags, "seed", 7u64));
     let lp = generate::LinkParams::default();
@@ -409,16 +402,10 @@ fn cmd_topo(flags: HashMap<String, String>) {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: gridscale <run|measure|trace|topo|models|audit> [flags]");
+        eprintln!("usage: gridscale <run|measure|trace|topo|models> [flags]");
         exit(2);
     }
     let cmd = args.remove(0);
-    if cmd == "audit" {
-        // The determinism linter takes its own flag grammar
-        // (--root/--json/--deny-warnings/--quiet), so hand it the raw
-        // args instead of the parsed flag map.
-        exit(gridscale_audit::run_cli(&args));
-    }
     match cmd.as_str() {
         "run" => cmd_run(parse_flags(&cmd, &args, RUN_FLAGS)),
         "measure" => cmd_measure(parse_flags(&cmd, &args, MEASURE_FLAGS)),

@@ -23,6 +23,7 @@ fn assert_rejected(args: &[&str], message: &str) {
 #[test]
 fn removed_subcommands_and_flags_exit_2() {
     assert_rejected(&["bench-sim"], "unknown command bench-sim");
+    assert_rejected(&["audit"], "unknown command audit");
     assert_rejected(
         &["measure", "--rep-probe", "16"],
         "unknown flag --rep-probe for measure",

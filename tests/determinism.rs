@@ -1,10 +1,8 @@
 //! Reproducibility guarantees across the whole stack.
 //!
 //! Every simulation and every measurement is a pure function of its
-//! configuration and seed; parallel sweeps must agree with sequential
-//! ones bit-for-bit.
+//! configuration and seed.
 
-use gridscale::core::sweep::parallel_map;
 use gridscale::prelude::*;
 
 fn cfg(seed: u64) -> GridConfig {
@@ -53,19 +51,6 @@ fn seeds_isolate_subsystems() {
         ra.jobs_total, rc.jobs_total,
         "different seed ⇒ different trace"
     );
-}
-
-#[test]
-fn parallel_sweep_matches_sequential() {
-    let seeds: Vec<u64> = (0..6).collect();
-    let run = |&s: &u64| {
-        let mut p = RmsKind::Symmetric.build();
-        let r = run_simulation(&cfg(s), p.as_mut());
-        (r.f_work, r.g_overhead, r.completed, r.policy_msgs)
-    };
-    let seq = parallel_map(&seeds, 1, run);
-    let par = parallel_map(&seeds, 4, run);
-    assert_eq!(seq, par, "thread count must not affect results");
 }
 
 #[test]
