@@ -16,7 +16,10 @@
 //! cargo test --test golden_report -- --ignored regenerate
 //! ```
 
+mod edge_cases;
 mod json_reader;
+
+use edge_cases::EDGE_CASES;
 
 use gridscale::desim::json::{Json, ToJson};
 use gridscale::prelude::*;
@@ -172,6 +175,24 @@ fn one_shot_bw(policy: GoldenPolicy, k: usize) -> SimReport {
     run_simulation(&cfg, p.as_mut())
 }
 
+/// Policies of the edge-case sub-matrix: LOWEST spreads resources over
+/// many cluster lanes, CENTRAL puts them all on one.
+const EDGE_POLICIES: [RmsKind; 2] = [RmsKind::Lowest, RmsKind::Central];
+
+/// Scale factor of the edge-case sub-matrix (seed [`BW_SEED`]).
+const EDGE_K: usize = 4;
+
+fn entry_key_edge(kind: RmsKind, edge: &str) -> String {
+    format!("{}/k{EDGE_K}/s{BW_SEED}/{edge}", kind.name())
+}
+
+/// `golden_cfg` at the edge-case point with `edit` applied.
+fn golden_edge_cfg(kind: RmsKind, edit: fn(&mut GridConfig)) -> GridConfig {
+    let mut cfg = golden_cfg(GoldenPolicy::Kind(kind), EDGE_K, BW_SEED);
+    edit(&mut cfg);
+    cfg
+}
+
 /// A report as a fixture entry records it: its JSON read back from the
 /// written text (so it compares with a loaded entry exactly as the text
 /// would), fields in key order.
@@ -214,6 +235,12 @@ fn generate_fixture() -> BTreeMap<String, Json> {
     for mode in REP_MODES {
         for i in 0..REP_COUNT {
             out.insert(entry_key_rep(mode, i), report_value(&one_rep(mode, i)));
+        }
+    }
+    for kind in EDGE_POLICIES {
+        for (edge, edit) in EDGE_CASES {
+            let r = run_simulation(&golden_edge_cfg(kind, edit), kind.build().as_mut());
+            out.insert(entry_key_edge(kind, edge), report_value(&r));
         }
     }
     out
@@ -489,6 +516,33 @@ fn enum_dispatch_matches_golden_fixture() {
                 &report_value(&r),
                 fixture,
             );
+        }
+    }
+}
+
+/// The edge-case sub-matrix — every tick sending, none sending, a tick
+/// every tick, τ past the horizon, a DAG, each on many cluster lanes and
+/// on one — reproduces its golden entries bit for bit, and each edge
+/// really is where it claims to be.
+#[test]
+fn edge_case_reports_match_golden_fixture() {
+    let fixture = load_fixture();
+    for kind in EDGE_POLICIES {
+        for (edge, edit) in EDGE_CASES {
+            let cfg = golden_edge_cfg(kind, edit);
+            let r = run_simulation(&cfg, kind.build().as_mut());
+            let key = entry_key_edge(kind, edge);
+            match edge {
+                "suppress0" => assert_eq!(r.updates_suppressed, 0, "{key}"),
+                "suppress1e9" => assert_eq!(r.updates_sent, 0, "{key}"),
+                "dag" => assert!(r.dag_deferred > 0, "{key}: the DAG must defer jobs"),
+                _ => {}
+            }
+            assert!(
+                r.updates_sent + r.updates_suppressed > 0,
+                "{key}: no tick fired"
+            );
+            assert_matches_fixture(&key, &report_value(&r), fixture);
         }
     }
 }
