@@ -17,9 +17,9 @@ pub trait World {
     /// Processes one event occurring at time `now`.
     fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
 
-    /// Observes each event immediately before [`World::handle`] delivers
-    /// it, together with the scheduling sequence number that orders
-    /// same-timestamp events. Default: no-op.
+    /// Observes the queue's head — the event at `at` with the sequence
+    /// number that orders same-timestamp events — before the engine
+    /// delivers it. Default: no-op, returning 0.
     ///
     /// This is the hook behind event-stream fingerprinting: a model can
     /// fold `(at, seq, event)` into a running hash and compare it across
@@ -27,7 +27,17 @@ pub trait World {
     /// produce the same fingerprint regardless of queue discipline,
     /// pooling, or thread placement. Kept separate from `handle` so the
     /// observation provably cannot mutate scheduling state.
-    fn observe(&mut self, _at: SimTime, _seq: u64, _event: &Self::Event) {}
+    ///
+    /// A model may also hold events outside the queue: events whose
+    /// delivery nothing else observes before the model's own next event
+    /// does. Here it delivers those keyed below the head, at most
+    /// `budget` of them (always ≥ 1), and returns how many. The engine
+    /// counts them as processed. If they use up the budget the run stops
+    /// before the head, which stays queued and must not count as
+    /// observed.
+    fn observe(&mut self, _at: SimTime, _seq: u64, _event: &Self::Event, _budget: u64) -> u64 {
+        0
+    }
 
     /// Called once when the run finishes (horizon reached or queue drained).
     /// Default: no-op. Models use this to close time-weighted statistics.
@@ -122,16 +132,18 @@ impl<E> Engine<E> {
     /// budget is exhausted. Events stamped exactly at `horizon` are still
     /// processed; later ones are left pending.
     ///
-    /// The loop peeks before every pop to check the horizon without
-    /// consuming the event — the queue keeps its minimum surfaced (the
-    /// ladder's *settled* invariant), so `peek_time` stays O(1) and this
-    /// costs nothing over a pop-and-push-back scheme.
+    /// The loop peeks before every pop to check the horizon and let the
+    /// world observe the head without consuming it — the queue keeps its
+    /// minimum surfaced (the ladder's *settled* invariant), so `peek`
+    /// stays O(1) and this costs nothing over a pop-and-push-back scheme.
+    /// Events the world delivers from outside the queue
+    /// ([`World::observe`]) count against the budget like queued ones.
     pub fn run_until<W>(&mut self, world: &mut W, horizon: SimTime) -> RunOutcome
     where
         W: World<Event = E>,
     {
         let outcome = loop {
-            let Some(at) = self.queue.peek_time() else {
+            let Some((at, seq, event)) = self.queue.peek() else {
                 break RunOutcome::Drained;
             };
             if at > horizon {
@@ -140,7 +152,11 @@ impl<E> Engine<E> {
             if self.processed >= self.max_events {
                 break RunOutcome::EventBudgetExhausted;
             }
-            #[expect(clippy::expect_used, reason = "peek_time just returned Some")]
+            self.processed += world.observe(at, seq, event, self.max_events - self.processed);
+            if self.processed >= self.max_events {
+                break RunOutcome::EventBudgetExhausted;
+            }
+            #[expect(clippy::expect_used, reason = "peek just returned Some")]
             let ev = self
                 .queue
                 .pop()
@@ -148,7 +164,6 @@ impl<E> Engine<E> {
             debug_assert!(ev.at >= self.now, "event queue must be time-ordered");
             self.now = ev.at;
             self.processed += 1;
-            world.observe(ev.at, ev.seq, &ev.event);
             world.handle(self.now, ev.event, &mut self.queue);
         };
         let end = match outcome {
@@ -283,8 +298,9 @@ mod tests {
         impl World for Spy {
             type Event = u64;
             fn handle(&mut self, _now: SimTime, _ev: u64, _q: &mut EventQueue<u64>) {}
-            fn observe(&mut self, at: SimTime, seq: u64, ev: &u64) {
+            fn observe(&mut self, at: SimTime, seq: u64, ev: &u64, _budget: u64) -> u64 {
                 self.seen.push((at, seq, *ev));
+                0
             }
         }
         let mut w = Spy { seen: vec![] };
@@ -302,6 +318,35 @@ mod tests {
                 (SimTime::from_ticks(7), 1, 11),
             ]
         );
+    }
+
+    /// Events a world delivers from outside the queue count against the
+    /// budget: the run stops at exactly the budget, and a head whose
+    /// held predecessors used it up stays queued.
+    #[test]
+    fn held_events_count_against_the_budget() {
+        /// Holds two events before every queued one.
+        struct Holder {
+            handled: u64,
+        }
+        impl World for Holder {
+            type Event = u64;
+            fn handle(&mut self, now: SimTime, ev: u64, q: &mut EventQueue<u64>) {
+                self.handled += 1;
+                q.schedule(now + SimTime::from_ticks(1), ev + 1);
+            }
+            fn observe(&mut self, _at: SimTime, _seq: u64, _ev: &u64, budget: u64) -> u64 {
+                budget.min(2)
+            }
+        }
+        let mut w = Holder { handled: 0 };
+        let mut e = Engine::new().with_event_budget(7);
+        e.queue_mut().schedule(SimTime::ZERO, 0);
+        let outcome = e.run_to_completion(&mut w);
+        assert_eq!(outcome, RunOutcome::EventBudgetExhausted);
+        // 2 held + head, 2 held + head, then 1 held exhausts the budget.
+        assert_eq!((e.processed(), w.handled), (7, 2));
+        assert_eq!(e.queue().len(), 1);
     }
 
     #[test]

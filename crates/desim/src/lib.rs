@@ -18,12 +18,13 @@
 //! * [`EventQueue`] — adaptive two-tier ladder future-event list with
 //!   deterministic FIFO tie-breaking: O(1) amortized schedule/pop via
 //!   time buckets, a far-future overflow tier, self-tuning bucket
-//!   geometry, a packed-key binary-heap fallback ([`QueueDiscipline`])
-//!   for skewed distributions, and an O(1) FIFO tier for fixed-period
-//!   timers ([`EventQueue::schedule_keyed_periodic`]). [`HeapQueue`] is
-//!   the plain binary-heap reference with the identical delivery order.
+//!   geometry, and a packed-key binary-heap fallback ([`QueueDiscipline`])
+//!   for skewed distributions. [`HeapQueue`] is the plain binary-heap
+//!   reference with the identical delivery order.
 //! * [`Engine`] / [`World`] — the driver loop: the engine pops the earliest
-//!   event and hands it to the model, which may schedule more events.
+//!   event and hands it to the model, which may schedule more events. A
+//!   model may hold events nothing else observes outside the queue and
+//!   deliver them when it observes the queue's head ([`World::observe`]).
 //! * [`SimRng`] — seeded xoshiro256** generator with the distributions
 //!   the workload and topology layers need (exponential, log-normal,
 //!   log-uniform, bounded Pareto), all in-crate: the workspace has no

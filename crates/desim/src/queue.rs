@@ -6,8 +6,7 @@
 //!   (bucketed near-future tier + unsorted far-future overflow) with O(1)
 //!   amortized `schedule`/`pop`, automatic bucket-width adaptation, and a
 //!   packed-key binary-heap fallback for distributions too skewed for
-//!   buckets to pay off — plus a **periodic FIFO** tier beside the ladder
-//!   for fixed-period timers, whose keys arrive already sorted.
+//!   buckets to pay off.
 //! * [`HeapQueue`] — the plain packed-key binary heap (O(log n) sift per
 //!   operation). It is the reference implementation the differential
 //!   tests and `perfbench`'s queue comparison measure against, and the
@@ -21,17 +20,10 @@
 //! [window_end, ∞)), and every comparison at a range boundary uses the
 //! full packed key, so bucket geometry (a pure performance knob) is
 //! invisible to delivery order.
-//!
-//! The periodic FIFO needs no range argument at all: it only ever
-//! accepts a key strictly above its own tail, so it is sorted by
-//! construction, and `pop` takes the smaller of its head and the ladder's
-//! minimum. A key that would break the order is scheduled through the
-//! ladder instead (a counted *fallback*), so the FIFO is a fast path
-//! whose hit rate can never change what is delivered, or when.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// An event together with its delivery time and a tie-breaking sequence
 /// number assigned at scheduling time.
@@ -107,8 +99,7 @@ pub enum QueueDiscipline {
     /// well-spread, heap otherwise. The default.
     #[default]
     Adaptive,
-    /// Force the packed-key binary heap for every event outside the
-    /// periodic FIFO tier (which runs under either discipline). Used by
+    /// Force the packed-key binary heap for every event. Used by
     /// `perfbench` to measure the ladder against the heap on the *same*
     /// simulation (reports are bit-identical either way).
     Heap,
@@ -142,12 +133,6 @@ pub struct QueueTelemetry {
     pub bucket_width: u64,
     /// Largest single-bucket occupancy observed since the last reset.
     pub max_bucket_occupancy: usize,
-    /// Events appended to the periodic FIFO tier by
-    /// [`EventQueue::schedule_keyed_periodic`].
-    pub periodic_pushes: u64,
-    /// Periodic schedules whose key was not above the FIFO's tail, so
-    /// they went through the ladder instead.
-    pub periodic_fallbacks: u64,
 }
 
 /// Pending events before the ladder pays for itself; below this the queue
@@ -195,30 +180,15 @@ fn below(key: u128, bound: u128) -> bool {
 /// near tier ─┤ active: sorted Vec — the bucket being drained
 ///            └ buckets[cursor..]: unsorted Vecs, width ticks each
 /// far tier  ── overflow: unsorted Vec — keys ≥ window_end
-/// periodic  ── periodic: VecDeque — ascending keys, any range
 /// ```
 ///
 /// `schedule` routes by key range: O(1) push for bucket/overflow hits,
-/// O(log f) for the (small) front heap. `pop` takes the smallest of
-/// `front`'s top, `active`'s tail and `periodic`'s head; when the first
-/// two drain it activates the next non-empty bucket (one `sort_unstable`
+/// O(log f) for the (small) front heap. `pop` takes the smaller of
+/// `front`'s top and `active`'s tail; when both drain it activates the next non-empty bucket (one `sort_unstable`
 /// per bucket) or rebuilds the window from the overflow, re-deriving the
 /// bucket width from the observed span/population. Workloads whose
 /// spills repeatedly capture almost nothing (pathologically skewed
 /// distributions) latch the heap fallback instead of thrashing.
-///
-/// # The periodic tier
-///
-/// [`EventQueue::schedule_keyed_periodic`] appends to `periodic` in O(1)
-/// whenever the new key is above the tail, and otherwise falls back to
-/// the ladder. It pays off for timers that re-arm themselves a fixed
-/// period `τ` after they fire, each with a fresh key from its own
-/// monotone per-lane counter (lane bits above the counter). Such timers
-/// fire in `(at, seq)` order and re-arm at `at + τ`, so their keys come
-/// in nondecreasing time; two re-arms for the same tick come from
-/// timers that fired in the same tick, in ascending lane order, and get
-/// fresh keys in that order. The FIFO therefore stays sorted without a
-/// single comparison beyond the tail check, under every discipline.
 pub struct EventQueue<E> {
     // --- counters ---
     next_seq: u64,
@@ -237,8 +207,6 @@ pub struct EventQueue<E> {
     buckets: Vec<Vec<Entry<E>>>,
     /// Far tier: unsorted events with keys ≥ `window_end_bound`.
     overflow: Vec<Entry<E>>,
-    /// Periodic tier: keys strictly ascending front to back, any range.
-    periodic: VecDeque<Entry<E>>,
 
     // --- geometry ---
     /// First key *not* routed to the front heap (exclusive bound).
@@ -288,7 +256,6 @@ impl<E> EventQueue<E> {
             active: Vec::new(),
             buckets: Vec::new(),
             overflow: Vec::new(),
-            periodic: VecDeque::new(),
             front_bound: 0,
             cursor: 0,
             window_start: 0,
@@ -380,43 +347,14 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules a keyed event (see [`EventQueue::schedule_keyed`]) on
-    /// the periodic FIFO tier: appended in O(1) when `(at, seq)` is above
-    /// the FIFO's tail, otherwise routed through the ladder like any
-    /// keyed event and counted in
-    /// [`QueueTelemetry::periodic_fallbacks`]. Delivery order is the same
-    /// `(at, seq)` order either way; see the type docs for the schedules
-    /// that keep the FIFO path hot.
-    pub fn schedule_keyed_periodic(&mut self, at: SimTime, seq: u64, event: E) {
-        let key = pack(at, seq);
-        if self.periodic.back().is_some_and(|tail| key <= tail.key) {
-            self.telemetry.periodic_fallbacks += 1;
-            self.schedule_keyed(at, seq, event);
-            return;
-        }
-        debug_assert_eq!(
-            self.next_seq, 0,
-            "keyed and unkeyed scheduling must not mix within one run"
-        );
-        self.count_insert();
-        self.telemetry.periodic_pushes += 1;
-        self.periodic.push_back(Entry { key, event });
-    }
-
-    /// Counts one scheduled event (every tier).
+    /// Common insert path: counts, then routes by mode.
     #[inline]
-    fn count_insert(&mut self) {
+    fn insert(&mut self, entry: Entry<E>) {
         self.scheduled_total += 1;
         self.len += 1;
         if self.len > self.peak_len {
             self.peak_len = self.len;
         }
-    }
-
-    /// Common ladder insert path: counts, then routes by mode.
-    #[inline]
-    fn insert(&mut self, entry: Entry<E>) {
-        self.count_insert();
         if self.engaged {
             self.route(entry);
         } else {
@@ -456,20 +394,15 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         // The settled invariant (kept by `schedule`/`pop`/`engage`): if
-        // the ladder is non-empty, its minimum is `front`'s top or
+        // the queue is non-empty, its minimum is `front`'s top or
         // `active`'s tail. Both tiers hold keys below `front_bound`, so
-        // one full-key comparison picks the ladder's minimum, and one
-        // more against the sorted FIFO's head picks the true minimum.
-        let (from_active, ladder_min) = match (self.front.peek(), self.active.last()) {
-            (None, None) => return self.pop_periodic(),
-            (Some(f), None) => (false, f.key),
-            (None, Some(a)) => (true, a.key),
-            (Some(f), Some(a)) if a.key < f.key => (true, a.key),
-            (Some(f), Some(_)) => (false, f.key),
+        // one full-key comparison picks the minimum.
+        let from_active = match (self.front.peek(), self.active.last()) {
+            (None, None) => return None,
+            (Some(_), None) => false,
+            (None, Some(_)) => true,
+            (Some(f), Some(a)) => a.key < f.key,
         };
-        if self.periodic.front().is_some_and(|p| p.key < ladder_min) {
-            return self.pop_periodic();
-        }
         let entry = if from_active {
             self.active.pop()
         } else {
@@ -482,22 +415,26 @@ impl<E> EventQueue<E> {
         Some(entry.into_scheduled())
     }
 
-    /// Pops the periodic FIFO's head (the ladder needs no settling).
+    /// The earliest pending entry (see the settled invariant in `pop`).
     #[inline]
-    fn pop_periodic(&mut self) -> Option<ScheduledEvent<E>> {
-        let entry = self.periodic.pop_front()?;
-        self.len -= 1;
-        Some(entry.into_scheduled())
+    fn head(&self) -> Option<&Entry<E>> {
+        match (self.front.peek(), self.active.last()) {
+            (Some(f), Some(a)) => Some(if a.key < f.key { a } else { f }),
+            (f, a) => f.or(a),
+        }
     }
 
     /// The delivery time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        [self.front.peek(), self.active.last(), self.periodic.front()]
-            .into_iter()
-            .flatten()
-            .map(|e| e.key)
-            .min()
-            .map(unpack_at)
+        self.head().map(|e| unpack_at(e.key))
+    }
+
+    /// The earliest pending event without removing it: its delivery
+    /// time, sequence number and payload — what [`EventQueue::pop`]
+    /// would return next.
+    pub fn peek(&self) -> Option<(SimTime, u64, &E)> {
+        self.head()
+            .map(|e| (unpack_at(e.key), e.key as u64, &e.event))
     }
 
     /// Number of pending events.
@@ -561,8 +498,7 @@ impl<E> EventQueue<E> {
     /// retention would pin a million-node run's peak memory across every
     /// pooled replay. `reset` therefore shrinks each bucket (and the
     /// active tier) to `RESET_BUCKET_RETAIN` entries, drops the overflow
-    /// allocation, and caps the front heap and the periodic FIFO at the
-    /// engage threshold.
+    /// allocation, and caps the front heap at the engage threshold.
     /// Callers that want a warm start re-reserve via
     /// [`EventQueue::reserve`] with the retained [`EventQueue::peak_len`]
     /// hint, which restores capacity in the one tier that absorbs the
@@ -578,7 +514,6 @@ impl<E> EventQueue<E> {
         self.active.shrink_to(RESET_BUCKET_RETAIN);
         self.overflow.shrink_to(0);
         self.front.shrink_to(ENGAGE_LEN);
-        self.periodic.shrink_to(ENGAGE_LEN);
     }
 
     /// Total entry capacity currently retained across every tier — the
@@ -588,7 +523,6 @@ impl<E> EventQueue<E> {
         self.front.capacity()
             + self.active.capacity()
             + self.overflow.capacity()
-            + self.periodic.capacity()
             + self.buckets.iter().map(Vec::capacity).sum::<usize>()
     }
 
@@ -601,7 +535,6 @@ impl<E> EventQueue<E> {
             b.clear();
         }
         self.overflow.clear();
-        self.periodic.clear();
         self.len = 0;
         self.disengage();
     }
@@ -772,7 +705,7 @@ impl<E> EventQueue<E> {
                 // (the warm hint is only trusted at engage time).
                 self.build_window(overflow, 0);
             } else {
-                debug_assert_eq!(self.len, self.periodic.len());
+                debug_assert_eq!(self.len, 0);
                 self.disengage();
                 return;
             }
@@ -1375,57 +1308,6 @@ mod tests {
         q.schedule(t(0), 999_999);
         let ev = q.pop().unwrap();
         assert_eq!((ev.at, ev.event), (t(0), 999_999));
-    }
-
-    /// A periodic key at or below the FIFO's tail takes the ladder path
-    /// (counted as a fallback) and is still delivered in order.
-    #[test]
-    fn periodic_out_of_order_falls_back_to_ladder() {
-        let mut q = EventQueue::new();
-        q.schedule_keyed_periodic(t(10), 5, "b");
-        q.schedule_keyed_periodic(t(10), 3, "a");
-        q.schedule_keyed_periodic(t(4), 9, "first");
-        q.schedule_keyed_periodic(t(10), 6, "c");
-        let tele = q.telemetry();
-        assert_eq!((tele.periodic_pushes, tele.periodic_fallbacks), (2, 2));
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.peek_time(), Some(t(4)));
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, vec!["first", "a", "b", "c"]);
-    }
-
-    /// `clear` and `reset` drop the FIFO's pending events; `reset` zeroes
-    /// its counters and bounds the FIFO's retained capacity.
-    #[test]
-    fn periodic_tier_clears_and_resets() {
-        let mut q = EventQueue::new();
-        for i in 0..10 * ENGAGE_LEN as u64 {
-            q.schedule_keyed_periodic(t(i), i, i);
-        }
-        q.pop();
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        assert!(q.pop().is_none());
-        // The cleared FIFO accepts keys below its old tail again.
-        q.schedule_keyed_periodic(t(0), 0, 0);
-        assert_eq!(q.telemetry().periodic_fallbacks, 0);
-        for i in 1..10 * ENGAGE_LEN as u64 {
-            q.schedule_keyed_periodic(t(i), i, i);
-        }
-        assert!(q.retained_capacity() >= 10 * ENGAGE_LEN);
-        q.reset();
-        assert!(q.is_empty());
-        let tele = q.telemetry();
-        assert_eq!((tele.periodic_pushes, tele.periodic_fallbacks), (0, 0));
-        assert!(
-            q.retained_capacity() < 4 * ENGAGE_LEN,
-            "reset must bound the FIFO, still retains {}",
-            q.retained_capacity()
-        );
-        q.schedule_keyed_periodic(t(7), 1, 7);
-        let ev = q.pop().unwrap();
-        assert_eq!((ev.at, ev.seq, ev.event), (t(7), 1, 7));
     }
 
     #[test]

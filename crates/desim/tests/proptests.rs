@@ -7,38 +7,15 @@ use gridscale_desim::{
 };
 
 /// One step of the differential queue workload: schedule a same-tick
-/// burst, batch-schedule, schedule periodic timers, pop, clear, or
-/// reset. `at` mixes near times, a far band, and the representable
-/// extremes so the ladder's bucket routing, overflow tier, and
-/// saturating bound arithmetic all get exercised.
+/// burst, batch-schedule, pop, clear, or reset. `at` mixes near times, a
+/// far band, and the representable extremes so the ladder's bucket
+/// routing, overflow tier, and saturating bound arithmetic all get
+/// exercised.
 #[derive(Debug, Clone, Copy)]
 enum QueueOp {
-    Schedule {
-        at: u64,
-        burst: usize,
-    },
-    ScheduleBatch {
-        at: u64,
-        burst: usize,
-    },
-    /// `burst` same-tick timers on consecutive lanes from `lane`
-    /// (wrapping, so a burst can revisit a lower lane), through
-    /// `schedule_keyed_periodic`. The tick is `at` past the previous
-    /// periodic tick — or exactly `at` when `rewind`, which usually lands
-    /// below the FIFO's tail and takes the fallback path.
-    Periodic {
-        at: u64,
-        lane: u64,
-        burst: usize,
-        rewind: bool,
-    },
-    /// Pops up to `count` events; a popped timer re-arms itself on the
-    /// periodic tier `rearm` ticks later (0: no re-arm), like the
-    /// simulator's status-update ticks.
-    Pop {
-        count: usize,
-        rearm: u64,
-    },
+    Schedule { at: u64, burst: usize },
+    ScheduleBatch { at: u64, burst: usize },
+    Pop { count: usize },
     Clear,
     Reset,
 }
@@ -46,15 +23,12 @@ enum QueueOp {
 /// Lanes of the keyed harness; keys are `(lane << 40) | counter`, the
 /// simulator's layout.
 const LANES: u64 = 5;
-/// Payload bit marking a periodic timer.
-const TIMER: u64 = 1 << 63;
 
 /// The adaptive ladder and the reference heap, fed identically.
 ///
-/// A keyed pair stamps every event with a lane-packed key (scheduling
-/// must not mix keyed and unkeyed calls): ladder-tier events go through
-/// `schedule_keyed`, periodic ones through `schedule_keyed_periodic`,
-/// and the heap mirrors both with `schedule_keyed`.
+/// A keyed pair stamps every event with a lane-packed key through
+/// `schedule_keyed` (scheduling must not mix keyed and unkeyed calls),
+/// as the simulator does; an unkeyed pair uses the queues' own counters.
 struct Pair {
     ladder: EventQueue<u64>,
     heap: HeapQueue<u64>,
@@ -97,21 +71,25 @@ impl Pair {
         }
     }
 
-    fn schedule_periodic(&mut self, at: u64, lane: u64, ev: u64) {
-        let (at, seq) = (SimTime::from_ticks(at), self.key(lane));
-        self.ladder.schedule_keyed_periodic(at, seq, ev);
-        self.heap.schedule_keyed(at, seq, ev);
-    }
-
-    /// Pops both, asserting they agree.
+    /// Pops both, asserting they agree with each other and with the
+    /// ladder's `peek`.
     fn pop(&mut self) -> Option<ScheduledEvent<u64>> {
+        let head = self.ladder.peek().map(|(at, seq, &ev)| (at, seq, ev));
         match (self.ladder.pop(), self.heap.pop()) {
-            (None, None) => None,
+            (None, None) => {
+                assert_eq!(head, None, "peek saw an event pop did not return");
+                None
+            }
             (Some(x), Some(y)) => {
                 assert_eq!(
                     (x.at, x.seq, x.event),
                     (y.at, y.seq, y.event),
                     "ladder diverged from heap"
+                );
+                assert_eq!(
+                    head,
+                    Some((x.at, x.seq, x.event)),
+                    "peek disagreed with pop"
                 );
                 Some(x)
             }
@@ -120,22 +98,19 @@ impl Pair {
     }
 }
 
-/// Applies `ops` to both the adaptive ladder and the reference heap,
-/// asserting the popped `(at, seq, event)` streams never diverge, then
-/// drains both to the end. Shared by the random differential and the
-/// fixed-seed schedules below. A workload with any
-/// [`QueueOp::Periodic`] runs on a keyed [`Pair`].
-fn run_differential(ops: &[QueueOp]) -> DiffStats {
+/// Applies `ops` to both the adaptive ladder and the reference heap —
+/// keyed through lane-packed keys when `keyed` — asserting the popped
+/// `(at, seq, event)` streams never diverge, then drains both to the
+/// end. Shared by the random differential and the fixed-seed schedules
+/// below. Returns whether the bucketed near tier was live after any op.
+fn run_differential(ops: &[QueueOp], keyed: bool) -> bool {
     let mut q = Pair {
         ladder: EventQueue::new(),
         heap: HeapQueue::new(),
-        keyed: ops.iter().any(|op| matches!(op, QueueOp::Periodic { .. })),
+        keyed,
         lane_seq: [0; LANES as usize],
     };
     let mut payload = 0u64;
-    let mut last_periodic = 0u64;
-    // Periodic schedules since the last reset (pushes + fallbacks).
-    let mut periodic_calls = 0u64;
     let mut engaged = false;
     for &op in ops {
         match op {
@@ -156,31 +131,10 @@ fn run_differential(ops: &[QueueOp]) -> DiffStats {
                 payload += burst as u64;
                 q.schedule_batch(&batch);
             }
-            QueueOp::Periodic {
-                at,
-                lane,
-                burst,
-                rewind,
-            } => {
-                let tick = if rewind {
-                    at
-                } else {
-                    last_periodic.saturating_add(at)
-                };
-                last_periodic = tick;
-                for j in 0..burst as u64 {
-                    q.schedule_periodic(tick, (lane + j) % LANES, TIMER | payload);
-                    payload += 1;
-                    periodic_calls += 1;
-                }
-            }
-            QueueOp::Pop { count, rearm } => {
+            QueueOp::Pop { count } => {
                 for _ in 0..count {
-                    let Some(ev) = q.pop() else { break };
-                    if rearm > 0 && ev.event & TIMER != 0 {
-                        let at = ev.at.ticks().saturating_add(rearm);
-                        q.schedule_periodic(at, ev.seq >> 40, ev.event);
-                        periodic_calls += 1;
+                    if q.pop().is_none() {
+                        break;
                     }
                 }
             }
@@ -188,14 +142,11 @@ fn run_differential(ops: &[QueueOp]) -> DiffStats {
                 q.ladder.clear();
                 q.heap.clear();
                 q.lane_seq = [0; LANES as usize];
-                last_periodic = 0;
             }
             QueueOp::Reset => {
                 q.ladder.reset();
                 q.heap.reset();
                 q.lane_seq = [0; LANES as usize];
-                last_periodic = 0;
-                periodic_calls = 0;
             }
         }
         assert_eq!(q.ladder.len(), q.heap.len());
@@ -205,52 +156,21 @@ fn run_differential(ops: &[QueueOp]) -> DiffStats {
         engaged |= q.ladder.telemetry().engaged;
     }
     while q.pop().is_some() {}
-    let tele = q.ladder.telemetry();
-    assert_eq!(
-        tele.periodic_pushes + tele.periodic_fallbacks,
-        periodic_calls,
-        "every periodic schedule is a FIFO push or a counted fallback"
-    );
-    DiffStats {
-        pushes: tele.periodic_pushes,
-        fallbacks: tele.periodic_fallbacks,
-        engaged,
-    }
-}
-
-/// What a [`run_differential`] workload exercised.
-struct DiffStats {
-    /// Periodic FIFO pushes since the ladder's last reset.
-    pushes: u64,
-    /// Periodic fallbacks since the ladder's last reset.
-    fallbacks: u64,
-    /// Whether the bucketed near tier was live after any op.
-    engaged: bool,
+    engaged
 }
 
 /// Decodes one op of the random differential. `kind` keeps two
 /// schedule kinds to one pop (mean burst 6 in, mean pop 12 out), so the
 /// depth has no drift and bursts carry the queue past the ladder's
 /// engage threshold mid-stream. `extra` is a separate uniform byte that
-/// rarely (1 op in 256) turns an op into `clear` or `reset` and, in
-/// periodic runs, turns 3/8 of the single schedules into periodic
-/// pushes, a third of those rewound onto the fallback path.
-fn decode_op(periodic: bool, kind: u8, extra: u8, at: u64, n: usize, lane: u64) -> QueueOp {
+/// rarely (1 op in 256) turns an op into `clear` or `reset`.
+fn decode_op(kind: u8, extra: u8, at: u64, n: usize) -> QueueOp {
     match (kind, extra) {
         (2, 0) => QueueOp::Reset,
         (_, 0) => QueueOp::Clear,
-        (0, 1..=96) if periodic => QueueOp::Periodic {
-            at: if extra <= 32 { at } else { at % 128 },
-            lane,
-            burst: n,
-            rewind: extra <= 32,
-        },
         (0, _) => QueueOp::Schedule { at, burst: n },
         (1, _) => QueueOp::ScheduleBatch { at, burst: n },
-        _ => QueueOp::Pop {
-            count: n * 2,
-            rearm: if periodic { at % 256 } else { 0 },
-        },
+        _ => QueueOp::Pop { count: n * 2 },
     }
 }
 
@@ -267,8 +187,8 @@ fn seeded_at(rng: &mut SimRng) -> u64 {
 }
 
 /// Fixed-seed differential workload generator: a small, fast op mix
-/// (12 seeds) that miri can afford, heavy on same-tick bursts and
-/// extreme times.
+/// (12 seeds, each unkeyed and keyed) that miri can afford, heavy on
+/// same-tick bursts and extreme times.
 #[test]
 fn ladder_matches_heap_seeded_differential() {
     for seed in 0..12u64 {
@@ -282,103 +202,12 @@ fn ladder_matches_heap_seeded_differential() {
                 1 => QueueOp::ScheduleBatch { at, burst },
                 _ => QueueOp::Pop {
                     count: rng.int_range(1, 20) as usize,
-                    rearm: 0,
                 },
             });
         }
-        run_differential(&ops);
+        run_differential(&ops, false);
+        run_differential(&ops, true);
     }
-}
-
-/// The keyed counterpart with periodic timers: ladder-tier and periodic
-/// pushes interleaved, same-tick timer bursts across lanes, rewinds
-/// below the FIFO's tail (the fallback path), pops that re-arm timers,
-/// and `clear`/`reset` mid-run.
-#[test]
-fn ladder_matches_heap_seeded_periodic() {
-    let (mut pushes, mut fallbacks) = (0, 0);
-    for seed in 0..12u64 {
-        let mut rng = SimRng::new(seed * 11 + 5);
-        let mut ops = Vec::new();
-        for _ in 0..rng.int_range(20, 200) {
-            let at = seeded_at(&mut rng);
-            let burst = rng.int_range(1, 12) as usize;
-            ops.push(match rng.index(10) {
-                0 | 1 => QueueOp::Schedule { at, burst },
-                2 => QueueOp::ScheduleBatch { at, burst },
-                3..=5 => QueueOp::Periodic {
-                    at: rng.int_range(0, 200),
-                    lane: rng.int_range(0, LANES),
-                    burst,
-                    rewind: false,
-                },
-                6 => QueueOp::Periodic {
-                    at,
-                    lane: rng.int_range(0, LANES),
-                    burst,
-                    rewind: true,
-                },
-                7 if rng.index(4) == 0 => {
-                    if rng.index(2) == 0 {
-                        QueueOp::Clear
-                    } else {
-                        QueueOp::Reset
-                    }
-                }
-                _ => QueueOp::Pop {
-                    count: rng.int_range(1, 20) as usize,
-                    rearm: rng.int_range(0, 300),
-                },
-            });
-        }
-        let stats = run_differential(&ops);
-        pushes += stats.pushes;
-        fallbacks += stats.fallbacks;
-    }
-    assert!(
-        pushes > 0 && fallbacks > 0,
-        "{pushes} pushes, {fallbacks} fallbacks"
-    );
-}
-
-/// Timers that only ever re-arm a fixed period after they fire — the
-/// simulator's status-update ticks — never fall back, however much
-/// ladder traffic they interleave with.
-#[test]
-fn ladder_matches_heap_seeded_periodic_rearm() {
-    let mut rng = SimRng::new(0x7A0);
-    let tau = 97;
-    // Four timers per lane, one same-tick burst across all lanes per tick.
-    let mut ops = vec![
-        QueueOp::Periodic {
-            at: 1,
-            lane: 0,
-            burst: LANES as usize,
-            rewind: false,
-        };
-        4
-    ];
-    for round in 0..60 {
-        ops.push(QueueOp::Schedule {
-            at: rng.int_range(0, 2_000) + round * 300,
-            burst: 30,
-        });
-        ops.push(QueueOp::Pop {
-            count: 40,
-            rearm: tau,
-        });
-    }
-    ops.push(QueueOp::Pop {
-        count: 5_000,
-        rearm: tau,
-    });
-    let stats = run_differential(&ops);
-    assert!(
-        stats.pushes > 1_000,
-        "timers barely re-armed: {}",
-        stats.pushes
-    );
-    assert_eq!(stats.fallbacks, 0);
 }
 
 /// A dense, large seeded workload that reliably pushes the ladder
@@ -392,34 +221,26 @@ fn ladder_matches_heap_seeded_hold_model() {
             at: rng.int_range(0, 2_000) + round * 500,
             burst: 40,
         });
-        ops.push(QueueOp::Pop {
-            count: 25,
-            rearm: 0,
-        });
+        ops.push(QueueOp::Pop { count: 25 });
     }
-    ops.push(QueueOp::Pop {
-        count: usize::MAX,
-        rearm: 0,
-    });
-    run_differential(&ops);
+    ops.push(QueueOp::Pop { count: usize::MAX });
+    assert!(run_differential(&ops, true), "the ladder never engaged");
 }
 
 /// Differential oracle: any interleaving of `schedule`,
 /// `schedule_batch`, `pop`, `clear` and `reset` — same-tick bursts,
 /// `SimTime::MAX`, and `u64::MAX - 1` included — produces the exact
 /// `(at, seq, event)` stream from the adaptive ladder that the
-/// reference binary heap produces. Periodic runs are keyed and add
-/// periodic timers: in-order and rewound (fallback) pushes, same-tick
-/// bursts across lanes, and pops that re-arm them. Plain and periodic
-/// runs alike must carry the queue past the ladder's engage threshold
-/// in at least 1 case in 10, or the bucketed tiers go unfuzzed
-/// mid-stream.
+/// reference binary heap produces, with the queues' own counters and
+/// with lane-packed keys. Either way the queue must pass the ladder's
+/// engage threshold in at least 1 case in 10, or the bucketed tiers go
+/// unfuzzed mid-stream.
 #[test]
 fn ladder_matches_heap_differential() {
     const CASES: usize = 256;
-    for periodic in [false, true] {
+    for keyed in [false, true] {
         let mut engaged = 0;
-        let name = format!("ladder_matches_heap_differential periodic={periodic}");
+        let name = format!("ladder_matches_heap_differential keyed={keyed}");
         cases(&name, CASES, |rng| {
             let ops: Vec<QueueOp> = (0..rng.int_range(1, 149))
                 .map(|_| {
@@ -433,14 +254,14 @@ fn ladder_matches_heap_differential() {
                         _ => u64::MAX,
                     };
                     let n = rng.int_range(1, 11) as usize;
-                    decode_op(periodic, kind, extra, at, n, rng.int_range(0, LANES - 1))
+                    decode_op(kind, extra, at, n)
                 })
                 .collect();
-            engaged += usize::from(run_differential(&ops).engaged);
+            engaged += usize::from(run_differential(&ops, keyed));
         });
         assert!(
             engaged * 10 >= CASES,
-            "periodic={periodic}: ladder engaged in {engaged}/{CASES} cases"
+            "keyed={keyed}: ladder engaged in {engaged}/{CASES} cases"
         );
     }
 }

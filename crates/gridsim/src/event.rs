@@ -49,7 +49,10 @@ pub enum GridEvent {
         /// Global resource index.
         res: u32,
     },
-    /// A resource's periodic status-update timer fires.
+    /// A resource's periodic status-update timer fires. Only a tick
+    /// that could send is queued; one that can only be suppressed is
+    /// held in its lane's ring and folded into the lane's stream at the
+    /// same key (DESIGN.md §3.1, "The frontier queue").
     UpdateTick {
         /// Global resource index.
         res: u32,

@@ -61,7 +61,15 @@ impl Fel<'_> {
     /// slot) is emitting the event — the invariant the determinism
     /// argument rests on.
     pub(crate) fn schedule(&mut self, src_lane: usize, at: SimTime, ev: GridEvent) {
-        let seq = self.next_key(src_lane);
+        let seq = self.take_key(src_lane);
+        self.schedule_keyed(at, seq, ev);
+    }
+
+    /// Schedules `ev` at `at` under a key taken earlier with
+    /// [`Fel::take_key`]: how a held tick or arrival
+    /// ([`crate::frontier`]) enters the queue at the key the eager
+    /// schedule would have given it.
+    pub(crate) fn schedule_keyed(&mut self, at: SimTime, seq: u64, ev: GridEvent) {
         if let Some(route) = self.route.as_deref_mut() {
             if let GridEvent::Deliver { to, .. } = &ev {
                 let dest = route.shard_of_node[*to as usize];
@@ -76,23 +84,17 @@ impl Fel<'_> {
         self.queue.schedule_keyed(at, seq, ev);
     }
 
-    /// Schedules a fixed-period timer's re-arm on the queue's periodic
-    /// FIFO tier, stamped with `src_lane`'s next sequence key exactly as
-    /// [`Fel::schedule`] would stamp it. Timers never cross shards, so
-    /// there is no outbox check. The FIFO stays sorted when every caller
-    /// re-arms the timer that just fired at `now + period` with one
-    /// run-wide period; any other key falls back to the ladder (counted
-    /// in the queue telemetry) without changing the delivery order.
-    pub(crate) fn schedule_periodic(&mut self, src_lane: usize, at: SimTime, ev: GridEvent) {
-        debug_assert!(!matches!(ev, GridEvent::Deliver { .. }));
-        let seq = self.next_key(src_lane);
-        self.queue.schedule_keyed_periodic(at, seq, ev);
-    }
-
     /// `src_lane`'s next sequence key.
     #[inline]
-    fn next_key(&mut self, src_lane: usize) -> u64 {
-        self.lane_seq[src_lane] += 1;
-        ((src_lane as u64) << LANE_SHIFT) | self.lane_seq[src_lane]
+    pub(crate) fn take_key(&mut self, src_lane: usize) -> u64 {
+        take_key(self.lane_seq, src_lane)
     }
+}
+
+/// Advances `lane`'s emission counter in `lane_seq` and returns the
+/// sequence key it stamps.
+#[inline]
+pub(crate) fn take_key(lane_seq: &mut [u64], lane: usize) -> u64 {
+    lane_seq[lane] += 1;
+    ((lane as u64) << LANE_SHIFT) | lane_seq[lane]
 }

@@ -22,12 +22,24 @@
 //! worker threads and still reproduce the sequential fingerprint
 //! bit-for-bit.
 //!
+//! # Held events
+//!
+//! The same invariant lets a lane hold events that touch only its own
+//! state outside the event queue ([`crate::frontier`]). A status tick
+//! that can only be suppressed waits in its lane's ring and is folded
+//! ([`SimCore::fold_ticks`]) before the lane's next queued event; the
+//! three sites where a resource's load changes — `Dispatch` delivery,
+//! `Finish`, `Recall` — wake it into the queue once it would send. Only
+//! each lane's next trace arrival is queued. Every held event keeps the
+//! key the eager schedule gave it, so the stream is unchanged.
+//!
 //! [`Accounting`]: crate::accounting::Accounting
 
 use crate::config::{Enablers, GridConfig};
 use crate::ctx::Ctx;
 use crate::event::{GridEvent, WorkItem};
-use crate::fel::{Fel, LANE_SHIFT};
+use crate::fel::{take_key, Fel, LANE_SHIFT};
+use crate::frontier::QUEUED;
 use crate::msg::Msg;
 use crate::net::NetFabric;
 use crate::policy::Policy;
@@ -159,28 +171,24 @@ impl SimCore {
     /// and each event from the target lane's sequence counter, so
     /// restricting to owned lanes leaves every owned lane's stream
     /// identical to the 1-shard run's.
+    ///
+    /// Every arrival and tick takes its key here, in this order, but
+    /// only each lane's first arrival and the ticks that could send are
+    /// queued; the rest are held in the [`Frontier`](crate::frontier).
     pub(crate) fn bootstrap(&mut self, fel: &mut Fel, shard_of_lane: &[u32], shard: u32) {
         let owns = |lane: usize| shard_of_lane[lane] == shard;
         let nc = self.n_clusters();
-        match self.shared.dag.as_ref() {
-            None => {
-                for (i, job) in self.shared.trace.iter().enumerate() {
-                    let lane = (job.submit_point as usize) % nc;
-                    if owns(lane) {
-                        fel.schedule(lane, job.arrival, GridEvent::Arrival(i as u32));
-                    }
-                }
-            }
-            Some(dag) => {
-                // Only dependency roots arrive on schedule; the rest are
-                // released as their parents complete.
-                for j in dag.roots() {
-                    let job = &self.shared.trace[j as usize];
-                    let lane = (job.submit_point as usize) % nc;
-                    if owns(lane) {
-                        fel.schedule(lane, job.arrival, GridEvent::Arrival(j as u32));
-                    }
-                }
+        let shared = &*self.shared;
+        let f = &mut self.hot.frontier;
+        for (i, job) in shared.trace.iter().enumerate() {
+            // Only dependency roots arrive on schedule (`parent_counts` is
+            // empty without a DAG); the rest are released as their
+            // parents complete.
+            let root = shared.parent_counts.get(i).is_none_or(|&p| p == 0);
+            let lane = (job.submit_point as usize) % nc;
+            if root && owns(lane) {
+                let (cl, seq) = (f.local(lane), fel.take_key(lane));
+                f.arrivals[cl].push((job.arrival, seq, i as u32));
             }
         }
         let tau = self.enablers.update_interval;
@@ -191,11 +199,16 @@ impl SimCore {
                 continue;
             }
             let stagger = self.lane_rngs[lane].int_range(1, tau.max(1));
-            fel.schedule(
-                lane,
-                SimTime::from_ticks(stagger),
-                GridEvent::UpdateTick { res: r as u32 },
-            );
+            let seq = fel.take_key(lane);
+            self.arm_tick(r, SimTime::from_ticks(stagger), seq, fel);
+        }
+        let f = &mut self.hot.frontier;
+        f.sort();
+        for (list, &lane) in f.arrivals.iter().zip(&f.lanes) {
+            if let Some(&(at, seq, i)) = list.first() {
+                debug_assert!(owns(lane as usize));
+                fel.schedule_keyed(at, seq, GridEvent::Arrival(i));
+            }
         }
         let flush = self.flush_interval();
         let ne = self.shared.layout.est_node.len();
@@ -287,6 +300,9 @@ impl SimCore {
                 let from = self.shared.layout.res_node[host as usize];
                 let to = self.shared.layout.sched_node[c];
                 self.send_net(now, c, from, to, Msg::Submit { job }, false, fel);
+                if let Some((at, seq, j)) = self.hot.frontier.next_arrival(c, i) {
+                    fel.schedule_keyed(at, seq, GridEvent::Arrival(j));
+                }
             }
 
             GridEvent::Deliver { to, msg } => self.deliver(now, to, msg, fel),
@@ -314,15 +330,18 @@ impl SimCore {
                         .rp
                         .start_job(now, r, cluster, next, self.cfg.service_rate, fel);
                 }
+                self.wake_tick(r, fel);
             }
 
+            // A tick reaches the queue only when it could send (bootstrap,
+            // a wake, or a re-arm while awake); it may still be suppressed
+            // if the load moved back before it fired.
             GridEvent::UpdateTick { res } => {
                 let r = res as usize;
-                let rl = self.hot.rp.local(r);
                 let lane = self.shared.layout.res_cluster[r] as usize;
-                let load = self.hot.rp.load(r);
-                let delta = (load - self.hot.rp.last_sent[rl]).abs();
-                if delta >= self.cfg.thresholds.suppress_delta {
+                if self.would_send(r) {
+                    let load = self.hot.rp.load(r);
+                    let rl = self.hot.rp.local(r);
                     self.hot.rp.last_sent[rl] = load;
                     self.hot.acct.updates_sent += 1;
                     let rnode = self.shared.layout.res_node[r];
@@ -342,14 +361,9 @@ impl SimCore {
                 } else {
                     self.hot.acct.updates_suppressed += 1;
                 }
-                // τ is fixed for the run and each re-arm follows the tick
-                // that just fired, so the periodic FIFO stays sorted.
-                let tau = self.enablers.update_interval;
-                fel.schedule_periodic(
-                    lane,
-                    now + SimTime::from_ticks(tau),
-                    GridEvent::UpdateTick { res },
-                );
+                let seq = fel.take_key(lane);
+                let at = now + SimTime::from_ticks(self.enablers.update_interval);
+                self.arm_tick(r, at, seq, fel);
             }
 
             GridEvent::EstFlush { est } => {
@@ -518,6 +532,7 @@ impl SimCore {
                     &mut self.hot.acct,
                     fel,
                 );
+                self.wake_tick(r as usize, fel);
             }
             Msg::Recall { to_cluster } => {
                 let r = self.shared.layout.res_at_node[to as usize];
@@ -529,6 +544,7 @@ impl SimCore {
                     let from = self.shared.layout.res_node[r as usize];
                     let dest = self.shared.layout.sched_node[to_cluster as usize];
                     self.send_net(now, lane, from, dest, Msg::Transfer { job }, false, fel);
+                    self.wake_tick(r as usize, fel);
                 }
             }
             Msg::StatusUpdate { res, load } => {
@@ -574,12 +590,119 @@ impl SimCore {
         }
     }
 
-    /// Folds one delivered event into its handling lane's fingerprint.
-    /// Called by the engine's observe hook for *every* delivery, before
-    /// handling.
+    /// Whether resource `r`'s tick would send an update now — the
+    /// negation of the suppression test. A resource's load changes only
+    /// at a `Dispatch` delivery, a `Finish` and a `Recall`, and
+    /// `last_sent` only when its own tick sends, so the answer can only
+    /// flip at those sites ([`SimCore::wake_tick`]).
     #[inline]
-    pub(crate) fn fold_event(&mut self, at: SimTime, seq: u64, ev: &GridEvent) {
-        let lane = self.lane_of(ev);
+    fn would_send(&self, r: usize) -> bool {
+        let rl = self.hot.rp.local(r);
+        let delta = (self.hot.rp.load(r) - self.hot.rp.last_sent[rl]).abs();
+        delta >= self.cfg.thresholds.suppress_delta
+    }
+
+    /// Arms resource `r`'s next tick at the key `(at, seq)`, already
+    /// taken from its lane: queued if it could send, otherwise held in
+    /// its lane's ring, whose keys it exceeds (each re-arm follows the
+    /// lane's last tick by the run-wide τ, with the lane's next counter;
+    /// bootstrap sorts the rings once).
+    fn arm_tick(&mut self, r: usize, at: SimTime, seq: u64, fel: &mut Fel) {
+        let rl = self.hot.rp.local(r);
+        if self.would_send(r) {
+            self.hot.frontier.tick[rl] = (at, QUEUED);
+            fel.schedule_keyed(at, seq, GridEvent::UpdateTick { res: r as u32 });
+        } else {
+            let f = &mut self.hot.frontier;
+            f.tick[rl] = (at, seq);
+            let lane = f.local(self.shared.layout.res_cluster[r] as usize);
+            f.ring[lane].push_back((at, seq, r as u32));
+        }
+    }
+
+    /// Called after resource `r`'s load changed: a held tick that would
+    /// now send moves to the queue at the key it already has (its ring
+    /// entry goes stale). The lane's ring was folded up to the event
+    /// being handled, so that key is still in the future.
+    fn wake_tick(&mut self, r: usize, fel: &mut Fel) {
+        let rl = self.hot.rp.local(r);
+        let (at, seq) = self.hot.frontier.tick[rl];
+        if seq != QUEUED && self.would_send(r) {
+            self.hot.frontier.tick[rl].1 = QUEUED;
+            fel.schedule_keyed(at, seq, GridEvent::UpdateTick { res: r as u32 });
+        }
+    }
+
+    /// Delivers cluster lane `lane`'s held ticks keyed below `before`, at
+    /// most `limit` of them, in key order, and returns how many. Each is
+    /// exactly what handling it from the queue would do to a dormant
+    /// resource: fold it into the lane's fingerprint, count it
+    /// suppressed, and re-arm it τ later with the lane's next key — which
+    /// sorts it back into the ring, and may bring it below `before`
+    /// again. Only lane-local state is touched, and only the lane's own
+    /// order matters, so the lane's next queued event is the last moment
+    /// to do it.
+    #[inline]
+    pub(crate) fn fold_ticks(
+        &mut self,
+        lane: usize,
+        before: (SimTime, u64),
+        limit: u64,
+        lane_seq: &mut [u64],
+    ) -> u64 {
+        let cl = self.hot.frontier.local(lane);
+        let tau = SimTime::from_ticks(self.enablers.update_interval);
+        let mut n = 0;
+        while n < limit {
+            let f = &mut self.hot.frontier;
+            let Some(&(at, seq, res)) = f.ring[cl].front() else {
+                break;
+            };
+            if (at, seq) >= before {
+                break;
+            }
+            f.ring[cl].pop_front();
+            let rl = self.hot.rp.local(res as usize);
+            if f.tick[rl].1 != seq {
+                continue; // woken: its tick is in the queue
+            }
+            let next = (at + tau, take_key(lane_seq, lane));
+            f.tick[rl] = next;
+            f.ring[cl].push_back((next.0, next.1, res));
+            debug_assert!(
+                !self.would_send(res as usize),
+                "held tick of resource {res} at {at:?} would send"
+            );
+            self.hot.acct.updates_suppressed += 1;
+            self.fold_event(lane, at, seq, &GridEvent::UpdateTick { res });
+            n += 1;
+        }
+        self.hot.frontier.folded += n;
+        n
+    }
+
+    /// Delivers every owned lane's held ticks up to and including the
+    /// horizon — the ticks that, queued, `run_until` would still have
+    /// handled — at most `limit` in all, and returns how many.
+    pub(crate) fn fold_to_horizon(
+        &mut self,
+        horizon: SimTime,
+        limit: u64,
+        lane_seq: &mut [u64],
+    ) -> u64 {
+        let mut n = 0;
+        for i in 0..self.hot.frontier.lanes.len() {
+            let lane = self.hot.frontier.lanes[i] as usize;
+            n += self.fold_ticks(lane, (horizon, u64::MAX), limit - n, lane_seq);
+        }
+        n
+    }
+
+    /// Folds one delivered event into its handling lane's fingerprint.
+    /// Called for *every* delivery — queued events from the engine's
+    /// observe hook, before handling, held ticks as they are folded.
+    #[inline]
+    pub(crate) fn fold_event(&mut self, lane: usize, at: SimTime, seq: u64, ev: &GridEvent) {
         let word = fp_mix(at.ticks())
             .wrapping_add(fp_mix(seq))
             .wrapping_add(fp_mix(ev.fp_word()));

@@ -62,6 +62,7 @@ mod estimator;
 mod event;
 mod fel;
 mod flow;
+mod frontier;
 mod kernel;
 mod msg;
 mod net;

@@ -11,11 +11,11 @@
 //!   (struct-of-arrays node/cluster/position tables plus ranked-neighbor
 //!   tables). Built once per [`SimTemplate`], never copied per run.
 //! * `HotState` — the per-run mutable scratch arena: one struct per
-//!   subsystem (resource pool, scheduler stations, estimators) plus the
-//!   accounting ledger. Checked out of the pool (on the 1-shard plan,
-//!   beside the event queue it ran with) at the start of a run, wiped
-//!   with `reset`, and returned afterwards, so a replay allocates
-//!   (almost) nothing.
+//!   subsystem (resource pool, scheduler stations, estimators), the
+//!   events held outside the queue, and the accounting ledger. Checked
+//!   out of the pool (on the 1-shard plan, beside the event queue it ran
+//!   with) at the start of a run, wiped with `reset`, and returned
+//!   afterwards, so a replay allocates (almost) nothing.
 //! * [`Enablers`] — the only per-run configuration, carried as a small
 //!   `Copy` overlay instead of cloning the whole `GridConfig`.
 //!
@@ -66,6 +66,7 @@ use crate::ctx::Ctx;
 use crate::estimator::EstimatorBank;
 use crate::event::GridEvent;
 use crate::fel::{Fel, ShardRoute};
+use crate::frontier::Frontier;
 use crate::kernel::{fold_lanes, SimCore};
 use crate::policy::Policy;
 use crate::report::SimReport;
@@ -108,6 +109,8 @@ pub(crate) struct HotState {
     pub(crate) sched: SchedulerBank,
     /// Estimator servers and batching buffers.
     pub(crate) est: EstimatorBank,
+    /// Dormant status ticks and not-yet-due arrivals, per lane.
+    pub(crate) frontier: Frontier,
     /// The F/G/H ledger.
     pub(crate) acct: crate::accounting::Accounting,
 }
@@ -124,6 +127,7 @@ impl HotState {
             rp: ResourcePool::new(scope, &shared.parent_counts),
             sched: SchedulerBank::new(&shared.layout.members, scope),
             est: EstimatorBank::new(scope, nc),
+            frontier: Frontier::new(scope),
             acct: crate::accounting::Accounting::new(scope),
         }
     }
@@ -133,6 +137,7 @@ impl HotState {
         self.rp.reset(&shared.parent_counts);
         self.sched.reset();
         self.est.reset();
+        self.frontier.reset();
         self.acct.reset();
     }
 
@@ -142,6 +147,7 @@ impl HotState {
         (self.rp.approx_bytes()
             + self.sched.approx_bytes()
             + self.est.approx_bytes()
+            + self.frontier.approx_bytes()
             + self.acct.approx_bytes()) as u64
     }
 }
@@ -195,6 +201,9 @@ pub struct SimTemplate {
     fingerprint_xor: AtomicU64,
     /// Fingerprint of the most recently completed run (any thread).
     last_fingerprint: AtomicU64,
+    /// Status ticks the most recently completed run folded outside the
+    /// event queue.
+    last_folded_ticks: AtomicU64,
     /// Shard telemetry of the most recent run, if any.
     shard_summary: Mutex<Option<ShardSummary>>,
 }
@@ -218,12 +227,6 @@ pub struct QueueSummary {
     pub fallback_activations: u64,
     /// Post-engagement inserts that landed in the near-term front heap.
     pub front_inserts: u64,
-    /// Events carried by the periodic FIFO tier (status-update re-arms).
-    pub periodic_pushes: u64,
-    /// Periodic schedules that fell back to the ladder because their key
-    /// was not above the FIFO's tail (0 when the sortedness argument of
-    /// `Fel::schedule_periodic` holds).
-    pub periodic_fallbacks: u64,
     /// Largest single-bucket occupancy seen by any run.
     pub max_bucket_occupancy: usize,
     /// Bucket count of the most recently completed run's window.
@@ -250,8 +253,6 @@ impl QueueSummary {
             self.spills += t.spills;
             self.fallback_activations += t.fallback_activations;
             self.front_inserts += t.front_inserts;
-            self.periodic_pushes += t.periodic_pushes;
-            self.periodic_fallbacks += t.periodic_fallbacks;
             self.max_bucket_occupancy = self.max_bucket_occupancy.max(t.max_bucket_occupancy);
         }
         if let Some(t) = tels.iter().rev().find(|t| t.bucket_count > 0) {
@@ -321,6 +322,11 @@ pub struct ReplayStats {
     pub fingerprint_xor: u64,
     /// Event-stream fingerprint of the most recently completed run.
     pub last_fingerprint: u64,
+    /// Status ticks the most recently completed run delivered without
+    /// the event queue: held dormant and folded into their lane's
+    /// stream, all of them suppressed. Folding is lane-local, so the
+    /// count is the same for every shard plan.
+    pub folded_ticks: u64,
     /// Shard telemetry of the most recent run through this template (a
     /// sequential run reports its 1-shard plan).
     pub shard: Option<ShardSummary>,
@@ -399,6 +405,7 @@ impl SimTemplate {
             queue_summary: Mutex::new(QueueSummary::default()),
             fingerprint_xor: AtomicU64::new(0),
             last_fingerprint: AtomicU64::new(0),
+            last_folded_ticks: AtomicU64::new(0),
             shard_summary: Mutex::new(None),
         }
     }
@@ -485,6 +492,7 @@ impl SimTemplate {
             queue: *lock(&self.queue_summary),
             fingerprint_xor: self.fingerprint_xor.load(Ordering::Relaxed),
             last_fingerprint: self.last_fingerprint.load(Ordering::Relaxed),
+            folded_ticks: self.last_folded_ticks.load(Ordering::Relaxed),
             shard: lock(&self.shard_summary).clone(),
         }
     }
@@ -792,7 +800,18 @@ impl SimTemplate {
         };
         drive(&mut boxes, &rounds);
 
-        let events_per_shard: Vec<u64> = boxes.iter().map(|b| b.engine.processed()).collect();
+        // Ticks still held up to the horizon are delivered now, within
+        // what is left of each shard's budget.
+        let events_per_shard: Vec<u64> = boxes
+            .iter_mut()
+            .map(|b| {
+                let processed = b.engine.processed();
+                let left = run.event_budget.saturating_sub(processed);
+                let sim = &mut b.sim;
+                processed + sim.core.fold_to_horizon(horizon, left, &mut sim.lane_seq)
+            })
+            .collect();
+        let folded_ticks = boxes.iter().map(|b| b.sim.core.hot.frontier.folded).sum();
         let events_total = events_per_shard.iter().sum();
         let name = boxes.last().map_or("", |b| b.sim.policy.name());
         let report = if let [solo] = &boxes[..] {
@@ -855,6 +874,8 @@ impl SimTemplate {
             .fetch_xor(report.event_fingerprint, Ordering::Relaxed);
         self.last_fingerprint
             .store(report.event_fingerprint, Ordering::Relaxed);
+        self.last_folded_ticks
+            .store(folded_ticks, Ordering::Relaxed);
         lock(&self.queue_summary).absorb(&tels);
         *lock(&self.shard_summary) = Some(summary.clone());
         (report, summary, timeline)
@@ -1175,8 +1196,20 @@ impl<P: Policy + ?Sized> World for GridSim<'_, P> {
         };
         self.core.handle(now, ev, &mut fel, self.policy);
     }
-    fn observe(&mut self, at: SimTime, seq: u64, ev: &GridEvent) {
-        self.core.fold_event(at, seq, ev);
+    /// Folds the event's lane's held ticks keyed below it, then the event
+    /// itself, into the lane's fingerprint.
+    fn observe(&mut self, at: SimTime, seq: u64, ev: &GridEvent, budget: u64) -> u64 {
+        let lane = self.core.lane_of(ev);
+        let held = if lane < self.core.n_clusters() {
+            self.core
+                .fold_ticks(lane, (at, seq), budget, &mut self.lane_seq)
+        } else {
+            0
+        };
+        if held < budget {
+            self.core.fold_event(lane, at, seq, ev);
+        }
+        held
     }
 }
 
