@@ -17,10 +17,12 @@
 //! * [`SimTime`] — discrete simulation clock (integer ticks).
 //! * [`EventQueue`] — adaptive two-tier ladder future-event list with
 //!   deterministic FIFO tie-breaking: O(1) amortized schedule/pop via
-//!   time buckets, a far-future overflow tier, self-tuning bucket
-//!   geometry, and a packed-key binary-heap fallback ([`QueueDiscipline`])
-//!   for skewed distributions. [`HeapQueue`] is the plain binary-heap
-//!   reference with the identical delivery order.
+//!   time buckets, a far-future overflow tier and self-tuning bucket
+//!   geometry, over a payload slab so every tier moves 32-byte
+//!   `(key, slot)` entries. Below the engage threshold, or when
+//!   [`QueueDiscipline::Heap`] forces it, it is a packed-key binary
+//!   heap. [`HeapQueue`] is the plain binary-heap reference with the
+//!   identical delivery order.
 //! * [`Engine`] / [`World`] — the driver loop: the engine pops the earliest
 //!   event and hands it to the model, which may schedule more events. A
 //!   model may hold events nothing else observes outside the queue and

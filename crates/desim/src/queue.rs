@@ -4,13 +4,12 @@
 //!
 //! * [`EventQueue`] — the default: an adaptive two-tier **ladder queue**
 //!   (bucketed near-future tier + unsorted far-future overflow) with O(1)
-//!   amortized `schedule`/`pop`, automatic bucket-width adaptation, and a
-//!   packed-key binary-heap fallback for distributions too skewed for
-//!   buckets to pay off.
+//!   amortized `schedule`/`pop` and automatic bucket-width adaptation.
+//!   Payloads wait in a slab, so every tier moves 32-byte
+//!   `(key, slot)` entries whatever the payload's size.
 //! * [`HeapQueue`] — the plain packed-key binary heap (O(log n) sift per
 //!   operation). It is the reference implementation the differential
-//!   tests and `perfbench`'s queue comparison measure against, and the
-//!   structure the ladder's fallback tier reuses.
+//!   tests measure against.
 //!
 //! Both deliver events in ascending `(at, seq)` order — nondecreasing
 //! time, FIFO among same-tick ties — so swapping one for the other can
@@ -38,17 +37,30 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-/// Entry with `(at, seq)` packed into one `u128` so hot comparisons (heap
-/// sift, bucket sort, range routing) compare a single integer instead of
-/// a lexicographic tuple.
+impl<E> ScheduledEvent<E> {
+    #[inline]
+    fn from_key(key: u128, event: E) -> Self {
+        ScheduledEvent {
+            at: unpack_at(key),
+            seq: key as u64,
+            event,
+        }
+    }
+}
+
+/// A value ordered by `(at, seq)` packed into one `u128`, so hot
+/// comparisons (heap sift, bucket sort, range routing) compare a single
+/// integer instead of a lexicographic tuple. The value is the payload
+/// itself in [`HeapQueue`] and the payload's slab slot in [`EventQueue`],
+/// whose `Entry<usize>` is 32 bytes (`u128` is 16-byte aligned).
 ///
 /// `key = (at << 64) | seq`: because both halves are unsigned and occupy
 /// disjoint bit ranges, numeric order on `key` equals lexicographic order
 /// on `(at, seq)`. Keys are unique (`seq` is monotonic), so the order is
 /// total and unstable sorts are safe.
-struct Entry<E> {
+struct Entry<V> {
     key: u128,
-    event: E,
+    val: V,
 }
 
 #[inline]
@@ -61,31 +73,20 @@ fn unpack_at(key: u128) -> SimTime {
     SimTime::from_ticks((key >> 64) as u64)
 }
 
-impl<E> Entry<E> {
-    #[inline]
-    fn into_scheduled(self) -> ScheduledEvent<E> {
-        ScheduledEvent {
-            at: unpack_at(self.key),
-            seq: self.key as u64,
-            event: self.event,
-        }
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
+impl<V> PartialEq for Entry<V> {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl<E> Eq for Entry<E> {}
+impl<V> Eq for Entry<V> {}
 
-impl<E> PartialOrd for Entry<E> {
+impl<V> PartialOrd for Entry<V> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl<V> Ord for Entry<V> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: smallest key is the heap maximum.
         other.key.cmp(&self.key)
@@ -95,8 +96,8 @@ impl<E> Ord for Entry<E> {
 /// Which structure backs an [`EventQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueDiscipline {
-    /// The adaptive ladder: buckets when the population is large and
-    /// well-spread, heap otherwise. The default.
+    /// The adaptive ladder: buckets once the population reaches the
+    /// engage threshold, heap below it. The default.
     #[default]
     Adaptive,
     /// Force the packed-key binary heap for every event. Used by
@@ -112,9 +113,8 @@ pub enum QueueDiscipline {
 pub struct QueueTelemetry {
     /// True while the bucketed near tier is live.
     pub engaged: bool,
-    /// True when events are being routed to the heap tier exclusively —
-    /// either forced by [`QueueDiscipline::Heap`] or latched by the skew
-    /// heuristic.
+    /// True when [`QueueDiscipline::Heap`] routes every event to the
+    /// heap tier.
     pub heap_fallback: bool,
     /// Times the ladder engaged (population crossed the threshold).
     pub engagements: u64,
@@ -122,8 +122,6 @@ pub struct QueueTelemetry {
     pub resizes: u64,
     /// Overflow redistributions (far tier → near tier).
     pub spills: u64,
-    /// Times the skew heuristic latched the heap fallback.
-    pub fallback_activations: u64,
     /// Inserts that landed in the front heap while the ladder was engaged
     /// (events due before the end of the active bucket).
     pub front_inserts: u64,
@@ -144,14 +142,6 @@ const TARGET_PER_BUCKET: usize = 8;
 /// Near-tier size bounds (power of two).
 const MIN_BUCKETS: usize = 16;
 const MAX_BUCKETS: usize = 4096;
-/// Skew check cadence: every this many routed events, measure which
-/// fraction landed in the front heap (= before the active bucket's end).
-const ROUTE_CHECK: u32 = 1024;
-/// Consecutive front-dominated check windows (over 3/4 of routes landing
-/// in the front heap — the buckets are not absorbing the traffic, e.g.
-/// because one far outlier stretched the bucket width) before the heap
-/// fallback latches for the rest of the run.
-const SKEW_STRIKES: u32 = 3;
 /// Per-bucket capacity kept across [`EventQueue::reset`]; anything above
 /// this (a spill artifact) is released so pooled queues don't retain a
 /// run's peak memory.
@@ -180,15 +170,21 @@ fn below(key: u128, bound: u128) -> bool {
 /// near tier ─┤ active: sorted Vec — the bucket being drained
 ///            └ buckets[cursor..]: unsorted Vecs, width ticks each
 /// far tier  ── overflow: unsorted Vec — keys ≥ window_end
+/// slab      ── payloads, at the slot each tier entry names
 /// ```
 ///
-/// `schedule` routes by key range: O(1) push for bucket/overflow hits,
-/// O(log f) for the (small) front heap. `pop` takes the smaller of
-/// `front`'s top and `active`'s tail; when both drain it activates the next non-empty bucket (one `sort_unstable`
-/// per bucket) or rebuilds the window from the overflow, re-deriving the
-/// bucket width from the observed span/population. Workloads whose
-/// spills repeatedly capture almost nothing (pathologically skewed
-/// distributions) latch the heap fallback instead of thrashing.
+/// `schedule` writes the payload into a free slab slot once and routes
+/// its `(key, slot)` entry by key range: O(1) push for bucket/overflow
+/// hits, O(log f) for the (small) front heap. `pop` takes the smaller of
+/// `front`'s top and `active`'s tail and moves the payload out of its
+/// slot; when both drain it activates the next non-empty bucket (one
+/// `sort_unstable` per bucket) or rebuilds the window from the overflow,
+/// re-deriving the bucket width from the observed span/population.
+///
+/// Skew needs no special case: when a far outlier stretches the width so
+/// the active bucket swallows the near-term traffic, that traffic rides
+/// the front heap at the plain heap's cost plus one key comparison per
+/// pop.
 pub struct EventQueue<E> {
     // --- counters ---
     next_seq: u64,
@@ -196,17 +192,24 @@ pub struct EventQueue<E> {
     peak_len: usize,
     len: usize,
 
+    // --- payloads ---
+    /// Every pending payload, at its entry's slot; `None` marks a free
+    /// slot. Emptied by `clear` and `reset`.
+    slab: Vec<Option<E>>,
+    /// Free slots, reused last-freed first (the warmest in cache).
+    free: Vec<usize>,
+
     // --- tiers ---
     /// Min-heap of everything due before `front_bound`; in heap mode (not
-    /// engaged, forced, or latched) it simply holds every event.
-    front: BinaryHeap<Entry<E>>,
+    /// engaged, or forced) it simply holds every event.
+    front: BinaryHeap<Entry<usize>>,
     /// The activated bucket, sorted descending by key (pop from the back).
-    active: Vec<Entry<E>>,
+    active: Vec<Entry<usize>>,
     /// Near-tier buckets; bucket `i` covers
     /// `[window_start + i*width, window_start + (i+1)*width)`.
-    buckets: Vec<Vec<Entry<E>>>,
+    buckets: Vec<Vec<Entry<usize>>>,
     /// Far tier: unsorted events with keys ≥ `window_end_bound`.
-    overflow: Vec<Entry<E>>,
+    overflow: Vec<Entry<usize>>,
 
     // --- geometry ---
     /// First key *not* routed to the front heap (exclusive bound).
@@ -223,12 +226,6 @@ pub struct EventQueue<E> {
     // --- mode ---
     discipline: QueueDiscipline,
     engaged: bool,
-    /// Skew heuristic latched the heap fallback (survives `reset` as a
-    /// learned property of the workload; cleared by `set_discipline`).
-    skew_latched: bool,
-    skew_strikes: u32,
-    routed_since_check: u32,
-    front_since_check: u32,
 
     telemetry: QueueTelemetry,
 }
@@ -252,6 +249,8 @@ impl<E> EventQueue<E> {
             scheduled_total: 0,
             peak_len: 0,
             len: 0,
+            slab: Vec::with_capacity(cap),
+            free: Vec::new(),
             front: BinaryHeap::with_capacity(cap),
             active: Vec::new(),
             buckets: Vec::new(),
@@ -263,10 +262,6 @@ impl<E> EventQueue<E> {
             window_end_bound: 0,
             discipline: QueueDiscipline::Adaptive,
             engaged: false,
-            skew_latched: false,
-            skew_strikes: 0,
-            routed_since_check: 0,
-            front_since_check: 0,
             telemetry: QueueTelemetry::default(),
         }
     }
@@ -280,12 +275,10 @@ impl<E> EventQueue<E> {
 
     /// Changes the backing discipline. Only valid while the queue is
     /// empty (e.g. right after [`EventQueue::reset`], which is how the
-    /// simulation template applies it to pooled queues). Clears any
-    /// latched skew fallback, so the new discipline starts clean.
+    /// simulation template applies it to pooled queues).
     pub fn set_discipline(&mut self, discipline: QueueDiscipline) {
         assert!(self.is_empty(), "discipline can only change while empty");
         self.discipline = discipline;
-        self.skew_latched = false;
     }
 
     /// The current backing discipline.
@@ -293,21 +286,11 @@ impl<E> EventQueue<E> {
         self.discipline
     }
 
-    /// True when every event is currently routed through the heap tier
-    /// (forced discipline or latched skew fallback).
-    #[inline]
-    fn heap_mode(&self) -> bool {
-        self.skew_latched || self.discipline == QueueDiscipline::Heap
-    }
-
     /// Schedules `event` for delivery at absolute time `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(Entry {
-            key: pack(at, seq),
-            event,
-        });
+        self.insert(pack(at, seq), event);
     }
 
     /// Schedules `event` with a *caller-supplied* tie-break sequence
@@ -327,10 +310,7 @@ impl<E> EventQueue<E> {
             self.next_seq, 0,
             "keyed and unkeyed scheduling must not mix within one run"
         );
-        self.insert(Entry {
-            key: pack(at, seq),
-            event,
-        });
+        self.insert(pack(at, seq), event);
     }
 
     /// Schedules a batch of keyed events (see
@@ -347,19 +327,31 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Common insert path: counts, then routes by mode.
+    /// Common insert path: counts, parks the payload in a slab slot, then
+    /// routes the slim entry by mode.
     #[inline]
-    fn insert(&mut self, entry: Entry<E>) {
+    fn insert(&mut self, key: u128, event: E) {
         self.scheduled_total += 1;
         self.len += 1;
         if self.len > self.peak_len {
             self.peak_len = self.len;
         }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                self.slab.len() - 1
+            }
+        };
+        let entry = Entry { key, val: slot };
         if self.engaged {
             self.route(entry);
         } else {
             self.front.push(entry);
-            if !self.heap_mode() && self.front.len() >= ENGAGE_LEN {
+            if self.discipline == QueueDiscipline::Adaptive && self.front.len() >= ENGAGE_LEN {
                 self.engage();
             }
         }
@@ -380,10 +372,11 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Reserves capacity for at least `additional` more events (in the
-    /// tier that absorbs scheduling bursts: the front heap before the
-    /// ladder engages, the overflow after).
+    /// Reserves capacity for at least `additional` more events: in the
+    /// slab, and in the tier that absorbs scheduling bursts (the front
+    /// heap before the ladder engages, the overflow after).
     pub fn reserve(&mut self, additional: usize) {
+        self.slab.reserve(additional);
         if self.engaged {
             self.overflow.reserve(additional);
         } else {
@@ -412,12 +405,14 @@ impl<E> EventQueue<E> {
         if self.engaged {
             self.settle();
         }
-        Some(entry.into_scheduled())
+        let event = self.slab[entry.val].take()?;
+        self.free.push(entry.val);
+        Some(ScheduledEvent::from_key(entry.key, event))
     }
 
     /// The earliest pending entry (see the settled invariant in `pop`).
     #[inline]
-    fn head(&self) -> Option<&Entry<E>> {
+    fn head(&self) -> Option<&Entry<usize>> {
         match (self.front.peek(), self.active.last()) {
             (Some(f), Some(a)) => Some(if a.key < f.key { a } else { f }),
             (f, a) => f.or(a),
@@ -430,11 +425,12 @@ impl<E> EventQueue<E> {
     }
 
     /// The earliest pending event without removing it: its delivery
-    /// time, sequence number and payload — what [`EventQueue::pop`]
-    /// would return next.
+    /// time, sequence number and payload (borrowed from its slot) — what
+    /// [`EventQueue::pop`] would return next.
     pub fn peek(&self) -> Option<(SimTime, u64, &E)> {
-        self.head()
-            .map(|e| (unpack_at(e.key), e.key as u64, &e.event))
+        let e = self.head()?;
+        let event = self.slab[e.val].as_ref()?;
+        Some((unpack_at(e.key), e.key as u64, event))
     }
 
     /// Number of pending events.
@@ -464,7 +460,7 @@ impl<E> EventQueue<E> {
     pub fn telemetry(&self) -> QueueTelemetry {
         QueueTelemetry {
             engaged: self.engaged,
-            heap_fallback: self.heap_mode(),
+            heap_fallback: self.discipline == QueueDiscipline::Heap,
             bucket_count: self.buckets.len(),
             bucket_width: self.width,
             ..self.telemetry
@@ -487,10 +483,9 @@ impl<E> EventQueue<E> {
     /// Empties the queue and resets the sequence, schedule, and telemetry
     /// counters, retaining allocations up to a *bounded* warm-start
     /// footprint plus the geometry hints ([`EventQueue::peak_len`], the
-    /// bucket width, the latched fallback). This is the recycle entry
-    /// point: a reset queue behaves exactly like a freshly constructed
-    /// one — only faster, because the next run starts with last run's
-    /// capacity and geometry.
+    /// bucket width). This is the recycle entry point: a reset queue
+    /// behaves exactly like a freshly constructed one — only faster,
+    /// because the next run starts with last run's capacity and geometry.
     ///
     /// Bounded retention: an overflow-tier spill redistributes the far
     /// tier across the buckets, so after a spill-heavy run the bucket and
@@ -498,11 +493,11 @@ impl<E> EventQueue<E> {
     /// retention would pin a million-node run's peak memory across every
     /// pooled replay. `reset` therefore shrinks each bucket (and the
     /// active tier) to `RESET_BUCKET_RETAIN` entries, drops the overflow
-    /// allocation, and caps the front heap at the engage threshold.
-    /// Callers that want a warm start re-reserve via
+    /// allocation, and caps the front heap and the slab at the engage
+    /// threshold. Callers that want a warm start re-reserve via
     /// [`EventQueue::reserve`] with the retained [`EventQueue::peak_len`]
-    /// hint, which restores capacity in the one tier that absorbs the
-    /// next run's scheduling burst.
+    /// hint, which restores capacity in the slab and in the one tier that
+    /// absorbs the next run's scheduling burst.
     pub fn reset(&mut self) {
         self.drop_pending();
         self.next_seq = 0;
@@ -514,20 +509,24 @@ impl<E> EventQueue<E> {
         self.active.shrink_to(RESET_BUCKET_RETAIN);
         self.overflow.shrink_to(0);
         self.front.shrink_to(ENGAGE_LEN);
+        self.slab.shrink_to(ENGAGE_LEN);
+        self.free.shrink_to(ENGAGE_LEN);
     }
 
-    /// Total entry capacity currently retained across every tier — the
-    /// queue's idle memory footprint in events. Exposed so pooling layers
-    /// (and the bounded-retention test) can observe what `reset` keeps.
+    /// Total entry capacity currently retained across every tier and the
+    /// slab — the queue's idle memory footprint in events. Exposed so
+    /// pooling layers (and the bounded-retention test) can observe what
+    /// `reset` keeps.
     pub fn retained_capacity(&self) -> usize {
-        self.front.capacity()
+        self.slab.capacity()
+            + self.front.capacity()
             + self.active.capacity()
             + self.overflow.capacity()
             + self.buckets.iter().map(Vec::capacity).sum::<usize>()
     }
 
-    /// Drops pending events from every tier, disengaging the ladder but
-    /// keeping allocations, geometry, and the skew latch.
+    /// Drops pending events from every tier and their payloads from the
+    /// slab, disengaging the ladder but keeping allocations and geometry.
     fn drop_pending(&mut self) {
         self.front.clear();
         self.active.clear();
@@ -535,6 +534,8 @@ impl<E> EventQueue<E> {
             b.clear();
         }
         self.overflow.clear();
+        self.slab.clear();
+        self.free.clear();
         self.len = 0;
         self.disengage();
     }
@@ -546,9 +547,6 @@ impl<E> EventQueue<E> {
         self.cursor = 0;
         self.front_bound = 0;
         self.window_end_bound = 0;
-        self.skew_strikes = 0;
-        self.routed_since_check = 0;
-        self.front_since_check = 0;
     }
 
     // --- ladder internals -------------------------------------------------
@@ -557,44 +555,19 @@ impl<E> EventQueue<E> {
     /// and every bucket index reachable here is ≥ `cursor`, so no event
     /// can land behind the drain point.
     #[inline]
-    fn route(&mut self, entry: Entry<E>) {
+    fn route(&mut self, entry: Entry<usize>) {
         if below(entry.key, self.front_bound) {
             self.telemetry.front_inserts += 1;
-            self.front_since_check += 1;
             self.front.push(entry);
         } else if below(entry.key, self.window_end_bound) {
             self.push_bucket(entry);
         } else {
             self.overflow.push(entry);
         }
-        self.routed_since_check += 1;
-        if self.routed_since_check == ROUTE_CHECK {
-            self.check_skew();
-        }
-    }
-
-    /// The skew heuristic: if over 3/4 of the last [`ROUTE_CHECK`] routed
-    /// events landed in the front heap, the buckets are not absorbing the
-    /// traffic (the active bucket's range swallows nearly every new
-    /// event, typically because a far outlier stretched the width). After
-    /// [`SKEW_STRIKES`] consecutive such windows, latch the heap fallback
-    /// — the front heap was doing all the work anyway.
-    fn check_skew(&mut self) {
-        let front_dominated = self.front_since_check * 4 > ROUTE_CHECK * 3;
-        self.routed_since_check = 0;
-        self.front_since_check = 0;
-        if front_dominated {
-            self.skew_strikes += 1;
-            if self.skew_strikes >= SKEW_STRIKES {
-                self.latch_fallback();
-            }
-        } else {
-            self.skew_strikes = 0;
-        }
     }
 
     #[inline]
-    fn push_bucket(&mut self, entry: Entry<E>) {
+    fn push_bucket(&mut self, entry: Entry<usize>) {
         let at = unpack_at(entry.key).ticks();
         let idx = (((at - self.window_start) / self.width) as usize).min(self.buckets.len() - 1);
         let bucket = &mut self.buckets[idx];
@@ -626,7 +599,7 @@ impl<E> EventQueue<E> {
     /// across [`EventQueue::reset`]) overrides the width; events it fails
     /// to cover spill to the overflow and are re-windowed span-based on
     /// the next rebuild, so a stale hint self-heals after one extra pass.
-    fn build_window(&mut self, events: Vec<Entry<E>>, width_hint: u64) {
+    fn build_window(&mut self, events: Vec<Entry<usize>>, width_hint: u64) {
         debug_assert!(!events.is_empty());
         let mut min_key = u128::MAX;
         let mut max_at = 0u64;
@@ -671,21 +644,6 @@ impl<E> EventQueue<E> {
         // The minimum event is always captured (bucket 0 covers at least
         // [min_at, min_at + 1)), so the caller's settle loop activates a
         // bucket right away — a rebuild always makes progress.
-    }
-
-    /// The skew heuristic gives up on buckets: move everything into the
-    /// front heap and stay there until the queue is recycled.
-    fn latch_fallback(&mut self) {
-        let mut all = std::mem::take(&mut self.front).into_vec();
-        all.append(&mut self.active);
-        for b in &mut self.buckets {
-            all.append(b);
-        }
-        all.append(&mut self.overflow);
-        self.front = BinaryHeap::from(all);
-        self.skew_latched = true;
-        self.telemetry.fallback_activations += 1;
-        self.disengage();
     }
 
     /// Restores the settled invariant after a pop (or window rebuild):
@@ -776,7 +734,7 @@ impl<E> HeapQueue<E> {
         self.scheduled_total += 1;
         self.heap.push(Entry {
             key: pack(at, seq),
-            event,
+            val: event,
         });
         if self.heap.len() > self.peak_len {
             self.peak_len = self.heap.len();
@@ -807,7 +765,7 @@ impl<E> HeapQueue<E> {
         self.scheduled_total += 1;
         self.heap.push(Entry {
             key: pack(at, seq),
-            event,
+            val: event,
         });
         if self.heap.len() > self.peak_len {
             self.peak_len = self.heap.len();
@@ -816,7 +774,9 @@ impl<E> HeapQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        self.heap.pop().map(Entry::into_scheduled)
+        self.heap
+            .pop()
+            .map(|e| ScheduledEvent::from_key(e.key, e.val))
     }
 
     /// The delivery time of the earliest pending event.
@@ -1110,11 +1070,10 @@ mod tests {
 
     /// An adversarially skewed population — one event at the far end of
     /// the time axis stretches the window so wide that the active bucket
-    /// swallows all real traffic — latches the heap fallback instead of
-    /// degenerating into a sorted-vec queue, and keeps delivering in
-    /// exact order.
+    /// swallows all real traffic — keeps delivering in exact order: the
+    /// near-term events ride the front heap.
     #[test]
-    fn skew_latches_fallback() {
+    fn far_outlier_keeps_exact_order() {
         let mut q = EventQueue::new();
         let mut h = HeapQueue::new();
         // The far outlier goes in first so it is part of the engage-time
@@ -1123,19 +1082,13 @@ mod tests {
         h.schedule(t(u64::MAX - 1), 0u64);
         // Dense near-term traffic: after engagement every one of these
         // routes into the front heap (the active bucket covers a huge
-        // span), which is exactly the skew signature.
+        // span).
         for i in 1..6000u64 {
             let at = t(i % 911);
             q.schedule(at, i);
             h.schedule(at, i);
         }
-        let tele = q.telemetry();
-        assert!(
-            tele.fallback_activations >= 1,
-            "skew heuristic never latched: {tele:?}"
-        );
-        assert!(tele.heap_fallback);
-        // Once latched, later schedules stay on the heap path.
+        assert!(q.telemetry().engaged);
         q.schedule(t(17), 999_999);
         h.schedule(t(17), 999_999);
         loop {
@@ -1147,6 +1100,76 @@ mod tests {
                 _ => panic!("queues diverged in length"),
             }
         }
+    }
+
+    /// Every tier moves `(key, slot)` entries of 32 bytes, whatever the
+    /// payload's size.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn tier_entries_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<Entry<usize>>(), 32);
+    }
+
+    /// Every payload lives in the slab exactly as long as it is pending:
+    /// through an engaged, spilling ladder each one pops exactly once,
+    /// under its own key, and `clear`/`reset` drop whatever is left.
+    #[test]
+    fn slab_payloads_pop_once_and_clear_drops_the_rest() {
+        use std::rc::Rc;
+        let n = 4 * ENGAGE_LEN as u64;
+        // 32 late payloads go in mid-drain, into recycled slots.
+        let payloads: Vec<Rc<u64>> = (0..n + 32).map(Rc::new).collect();
+        // A fifth of the first wave and every late payload sit far out,
+        // so the drain spills.
+        let at_of = |i: u64| {
+            if i >= n {
+                t(2_000_000 + i)
+            } else if i.is_multiple_of(5) {
+                t(1_000_000 + i)
+            } else {
+                t(i * 37 % 10_000)
+            }
+        };
+        let schedule = |q: &mut EventQueue<Rc<u64>>, i: u64| {
+            q.schedule_keyed(at_of(i), i, Rc::clone(&payloads[i as usize]));
+        };
+        let released = || payloads.iter().all(|p| Rc::strong_count(p) == 1);
+
+        let mut q = EventQueue::new();
+        for i in 0..n {
+            schedule(&mut q, i);
+        }
+        assert!(q.telemetry().engaged);
+        let mut popped = vec![0u32; payloads.len()];
+        let (mut late, mut last) = (n, 0u128);
+        while let Some(ev) = q.pop() {
+            let i = *ev.event;
+            assert_eq!((ev.at, ev.seq), (at_of(i), i), "payload under foreign key");
+            assert!(pack(ev.at, ev.seq) >= last, "out of order");
+            last = pack(ev.at, ev.seq);
+            popped[i as usize] += 1;
+            if late < n + 32 {
+                schedule(&mut q, late);
+                late += 1;
+            }
+        }
+        assert!(q.telemetry().spills >= 1, "overflow tier never exercised");
+        assert!(popped.iter().all(|&c| c == 1), "every payload pops once");
+        assert!(released(), "a popped payload stayed in the slab");
+
+        for i in 0..n {
+            schedule(&mut q, i);
+        }
+        for _ in 0..ENGAGE_LEN {
+            q.pop();
+        }
+        q.clear();
+        assert!(released(), "clear must drop pending payloads");
+        for i in 0..n {
+            schedule(&mut q, i);
+        }
+        q.reset();
+        assert!(released(), "reset must drop pending payloads");
     }
 
     /// Satellite: `reset()` after resizes and overflow spills behaves
@@ -1286,6 +1309,9 @@ mod tests {
             "reset must release spill capacity, still retains {retained}"
         );
         assert_eq!(q.peak_len(), 60_000 + 2 * ENGAGE_LEN, "hint survives");
+        // The warm-start reserve regrows the slab with the front heap.
+        q.reserve(q.peak_len());
+        assert!(q.retained_capacity() >= 2 * q.peak_len());
 
         // Still behaves exactly like a fresh queue after the shrink.
         let mut fresh = EventQueue::new();

@@ -50,7 +50,11 @@ impl SimTime {
         } else if t >= u64::MAX as f64 {
             SimTime::MAX
         } else {
-            SimTime(t.round() as u64)
+            // Rounds half away from zero like `t.round()`, without its
+            // libm call: `t - i` is exact (Sterbenz's lemma for t ≥ 1,
+            // and i = 0 below), and NaN falls through to 0.
+            let i = t as u64;
+            SimTime(i + u64::from(t - i as f64 >= 0.5))
         }
     }
 
@@ -211,6 +215,53 @@ mod tests {
         assert_eq!(SimTime::from_f64(2.6).ticks(), 3);
         assert_eq!(SimTime::from_f64(f64::INFINITY), SimTime::MAX);
         assert_eq!(SimTime::from_ticks(9).as_f64(), 9.0);
+    }
+
+    /// The `f64::round` definition `from_f64` replaces.
+    fn from_f64_by_round(t: f64) -> SimTime {
+        if t <= 0.0 {
+            SimTime::ZERO
+        } else if t >= u64::MAX as f64 {
+            SimTime::MAX
+        } else {
+            SimTime(t.round() as u64)
+        }
+    }
+
+    #[test]
+    fn f64_rounding_edges() {
+        let p52 = (1u64 << 52) as f64;
+        let p53 = (1u64 << 53) as f64;
+        let edges = [
+            (0.5, 1),
+            (0.499_999_999_999_999_94, 0),
+            (2.5, 3),
+            (p52 - 0.5, 1 << 52),
+            (p53, 1 << 53),
+            (p53 + 2.0, (1 << 53) + 2),
+            (f64::NAN, 0),
+            (f64::INFINITY, u64::MAX),
+            (-0.0, 0),
+            (u64::MAX as f64, u64::MAX),
+        ];
+        for (t, ticks) in edges {
+            assert_eq!(SimTime::from_f64(t).ticks(), ticks, "from_f64({t:e})");
+            assert_eq!(SimTime::from_f64(t), from_f64_by_round(t), "{t:e}");
+        }
+    }
+
+    #[test]
+    fn f64_rounding_matches_round() {
+        crate::cases("from_f64_matches_round", 256, |rng| {
+            for _ in 0..64 {
+                let bits = f64::from_bits(rng.int_range(0, u64::MAX));
+                let near = rng.uniform(0.0, 1e7);
+                let half = rng.int_range(0, 1 << 40) as f64 + 0.5;
+                for t in [bits, near, half] {
+                    assert_eq!(SimTime::from_f64(t), from_f64_by_round(t), "{t:e}");
+                }
+            }
+        });
     }
 
     #[test]

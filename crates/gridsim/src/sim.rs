@@ -216,14 +216,15 @@ pub struct SimTemplate {
 pub struct QueueSummary {
     /// Runs whose event queue engaged the bucketed ladder tier.
     pub ladder_runs: u64,
-    /// Runs that stayed on the binary-heap path throughout (small
-    /// populations, forced heap discipline, or a latched skew fallback).
+    /// Runs that stayed on the binary-heap path throughout (populations
+    /// below the engage threshold, or forced heap discipline).
     pub heap_runs: u64,
     /// Total bucket-geometry rebuilds that changed width or count.
     pub resizes: u64,
     /// Total overflow redistributions (far tier → near tier).
     pub spills: u64,
-    /// Times the skew heuristic latched the heap fallback.
+    /// Always 0: the queue has no skew latch to count. Kept while
+    /// `perfbench` still reports it.
     pub fallback_activations: u64,
     /// Post-engagement inserts that landed in the near-term front heap.
     pub front_inserts: u64,
@@ -251,7 +252,6 @@ impl QueueSummary {
         for t in tels {
             self.resizes += t.resizes;
             self.spills += t.spills;
-            self.fallback_activations += t.fallback_activations;
             self.front_inserts += t.front_inserts;
             self.max_bucket_occupancy = self.max_bucket_occupancy.max(t.max_bucket_occupancy);
         }
@@ -921,7 +921,7 @@ impl SimTemplate {
     /// Checks the most recently parked scratch for `key` out of the
     /// pool, reset (a reset arena and queue are indistinguishable from new
     /// ones, keeping runs bit-reproducible), with the queue's retained
-    /// peak length re-reserved so its heap never regrows mid-run.
+    /// peak length re-reserved so its heap and slab never regrow mid-run.
     fn checkout(&self, key: (u64, u32), discipline: QueueDiscipline) -> Option<Scratch> {
         let (_, mut scratch) = {
             let mut pool = lock(&self.pool);
@@ -931,12 +931,7 @@ impl SimTemplate {
         scratch.hot.reset(&self.shared);
         if let Some(queue) = &mut scratch.queue {
             queue.reset();
-            // Only touch the discipline when it actually changed: switching
-            // clears the skew latch, which a recycled queue carries as a
-            // warm-start hint.
-            if queue.discipline() != discipline {
-                queue.set_discipline(discipline);
-            }
+            queue.set_discipline(discipline);
             queue.reserve(queue.peak_len());
         }
         Some(scratch)
