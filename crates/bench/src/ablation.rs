@@ -193,7 +193,7 @@ fn h_share_pct(r: &SimReport) -> f64 {
 }
 
 /// The bandwidth-aware network model under LOWEST: link capacity swept
-/// down `1/k` on the fixed [`net_point`] grid (measured transfer busy
+/// down `1/k` on the fixed `net_point` grid (measured transfer busy
 /// time and contention must grow as capacity shrinks), then the Case-4
 /// (`L_p`) points re-measured with flows at capacity scale 0.05 — how
 /// much of `H(k)` the legacy constant model hid.
@@ -313,7 +313,7 @@ const SHARDS: usize = 4;
 
 /// Memory of the sharded conservative-parallel executor under LOWEST: the
 /// shared world's bytes, and the mutable hot state of the 1-shard replay
-/// against the [`SHARDS`]-shard replay of the same world — lane-scoped
+/// against the `SHARDS`-shard replay of the same world — lane-scoped
 /// shard state keeps the sharded total within a constant of the 1-shard
 /// arena — plus the sharded replay's events, barrier rounds and whether
 /// its event fingerprint matches the 1-shard replay's. `mega` adds the

@@ -699,7 +699,7 @@ impl SimTemplate {
         // Only a multi-shard plan routes: the 1-shard plan's `Fel` has no
         // outbox to check.
         let shard_of_node = (shards > 1).then(|| Arc::new(plan.shard_of_node(shared)));
-        let min_cross = plan.min_cross_latency();
+        let min_cross = plan.min_cross_latency;
         // The conservative lookahead: any cross-shard Deliver emitted at
         // time t arrives at ≥ t + max(1, ⌊min_cross · ldf⌋) (NetFabric's
         // invariant), so events emitted inside [T, T+W-1] land at ≥ T+W —

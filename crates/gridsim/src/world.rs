@@ -11,9 +11,9 @@
 //! resources), estimator lanes `C..C+E`, and one global lane `C+E`
 //! (timeline sampling). Lanes are the partitioning granularity of the
 //! sharded executor: a [`ShardPlan`] groups lanes onto shards and
-//! carries the per-shard-pair minimum cross-partition link latency,
-//! whose minimum (scaled by the link-delay enabler) *is* the
-//! conservative lookahead of the barrier protocol.
+//! carries the least latency of any message channel between shards,
+//! which (scaled by the link-delay enabler) *is* the conservative
+//! lookahead of the barrier protocol.
 
 use crate::config::{GridConfig, TopologySpec};
 use crate::kernel::fp_mix;
@@ -173,8 +173,8 @@ impl Layout {
     }
 }
 
-/// How lanes are grouped onto shards, plus the per-shard-pair minimum
-/// cross-partition link latency matrix the conservative lookahead is
+/// How lanes are grouped onto shards, plus the least latency of any
+/// message channel between shards, which the conservative lookahead is
 /// derived from.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardPlan {
@@ -182,10 +182,10 @@ pub(crate) struct ShardPlan {
     pub(crate) shards: u32,
     /// Lane → owning shard (global lane rides on shard 0).
     pub(crate) shard_of_lane: Vec<u32>,
-    /// Flattened `shards × shards` matrix of the minimum link latency
-    /// (ticks) of any message channel crossing from shard `s` to shard
-    /// `t`; `u64::MAX` on the diagonal and for pairs with no channel.
-    pub(crate) min_lat: Vec<u64>,
+    /// The least latency (ticks) of any message channel between two
+    /// shards (see [`channel_min_latency`]); `u64::MAX` when no channel
+    /// crosses shards (a single shard).
+    pub(crate) min_cross_latency: u64,
     /// Fingerprint of the exact lane assignment: the key the template's
     /// scratch pool files this plan's arenas under, so a pooled arena's
     /// remap tables are content-identical to a fresh build's.
@@ -197,11 +197,11 @@ impl ShardPlan {
     /// once per world ([`SharedWorld::full_plan`]); sequential runs use it
     /// with the identity scope.
     fn identity(layout: &Layout) -> ShardPlan {
-        ShardPlan::new(1, vec![0; layout.n_lanes()], vec![u64::MAX])
+        ShardPlan::new(1, vec![0; layout.n_lanes()], u64::MAX)
     }
 
     /// Assembles a plan, fingerprinting its lane assignment into `key`.
-    fn new(shards: u32, shard_of_lane: Vec<u32>, min_lat: Vec<u64>) -> ShardPlan {
+    fn new(shards: u32, shard_of_lane: Vec<u32>, min_cross_latency: u64) -> ShardPlan {
         let mut key = fp_mix(shards as u64);
         for &s in &shard_of_lane {
             key = fp_mix(key ^ s as u64);
@@ -209,7 +209,7 @@ impl ShardPlan {
         ShardPlan {
             shards,
             shard_of_lane,
-            min_lat,
+            min_cross_latency,
             key,
         }
     }
@@ -240,7 +240,7 @@ impl ShardPlan {
         if shards == 1 || n_clusters > MAX_PLANNED_CLUSTERS {
             return ShardPlan::contiguous(shared, shards);
         }
-        let pair = cluster_pair_min_latency(shared);
+        let pair = cluster_pair_latency(shared);
         ShardPlan::latency_aware_from_pairs(shared, shards, &pair)
     }
 
@@ -264,19 +264,19 @@ impl ShardPlan {
             let mut best = ShardPlan::contiguous(shared, 2);
             for s in 3..=cap {
                 let plan = ShardPlan::contiguous(shared, s);
-                if plan.min_cross_latency() >= best.min_cross_latency() {
+                if plan.min_cross_latency >= best.min_cross_latency {
                     best = plan;
                 }
             }
             return best;
         }
-        let pair = cluster_pair_min_latency(shared);
+        let pair = cluster_pair_latency(shared);
         let mut best: Option<ShardPlan> = None;
         for s in 2..=cap {
             let plan = ShardPlan::latency_aware_from_pairs(shared, s, &pair);
             let wider = best
                 .as_ref()
-                .is_none_or(|b| plan.min_cross_latency() >= b.min_cross_latency());
+                .is_none_or(|b| plan.min_cross_latency >= b.min_cross_latency);
             if wider {
                 best = Some(plan);
             }
@@ -285,7 +285,7 @@ impl ShardPlan {
     }
 
     /// [`ShardPlan::latency_aware`] body, parameterized over a
-    /// pre-computed [`cluster_pair_min_latency`] matrix so
+    /// pre-computed [`cluster_pair_latency`] matrix so
     /// [`ShardPlan::auto`] can amortize it across candidate shard counts.
     /// Requires `2 <= shards <= n_clusters <= MAX_PLANNED_CLUSTERS`.
     fn latency_aware_from_pairs(shared: &SharedWorld, shards: usize, pair: &[u64]) -> ShardPlan {
@@ -366,19 +366,15 @@ impl ShardPlan {
         cluster_shard: &[u32],
         shards: usize,
     ) -> ShardPlan {
-        let layout = &shared.layout;
-        let n_clusters = layout.members.len();
-        assert_eq!(cluster_shard.len(), n_clusters);
+        assert_eq!(cluster_shard.len(), shared.layout.members.len());
         assert!(shards >= 1);
         debug_assert!(cluster_shard.iter().all(|&s| (s as usize) < shards));
-        let mut shard_of_lane = Vec::with_capacity(layout.n_lanes());
-        shard_of_lane.extend_from_slice(cluster_shard);
-        for &home in &layout.est_home {
-            shard_of_lane.push(cluster_shard[home as usize]);
-        }
-        shard_of_lane.push(0); // global lane
-        let min_lat = cross_shard_min_latency(shared, &shard_of_lane, shards);
-        ShardPlan::new(shards as u32, shard_of_lane, min_lat)
+        let shard_of_lane = group_lanes(&shared.layout, cluster_shard);
+        let min_cross = channel_min_latency(shared, &shard_of_lane, shards)
+            .into_iter()
+            .min()
+            .unwrap_or(u64::MAX);
+        ShardPlan::new(shards as u32, shard_of_lane, min_cross)
     }
 
     /// Node → owning shard (`u32::MAX` for pure routers): the
@@ -475,22 +471,6 @@ impl ShardPlan {
         }
         scopes
     }
-
-    /// The minimum cross-partition latency over all distinct shard pairs
-    /// — the basis of the global lookahead window. `u64::MAX` when no
-    /// channel ever crosses shards (single shard).
-    pub(crate) fn min_cross_latency(&self) -> u64 {
-        let s = self.shards as usize;
-        let mut min = u64::MAX;
-        for i in 0..s {
-            for j in 0..s {
-                if i != j {
-                    min = min.min(self.min_lat[i * s + j]);
-                }
-            }
-        }
-        min
-    }
 }
 
 /// Dense per-shard index remap: the slice of the world one engine
@@ -558,99 +538,91 @@ impl LaneScope {
     }
 }
 
-/// The per-shard-pair minimum latency of any *actual* message channel
-/// crossing the partition: scheduler↔scheduler (transfers, policy
-/// traffic), scheduler↔foreign-resource (recalls and the transfer they
-/// trigger), resource→estimator (status updates), and
-/// estimator→scheduler (batches). Exact routing enumerates the channels;
+/// Lane → group when cluster `c` joins group `cluster_group[c]`:
+/// estimator lanes follow their home cluster, and the global lane goes
+/// to group 0.
+fn group_lanes(layout: &Layout, cluster_group: &[u32]) -> Vec<u32> {
+    let mut lanes = Vec::with_capacity(layout.n_lanes());
+    lanes.extend_from_slice(cluster_group);
+    lanes.extend(
+        layout
+            .est_home
+            .iter()
+            .map(|&home| cluster_group[home as usize]),
+    );
+    lanes.push(0);
+    lanes
+}
+
+/// The least latency of any *actual* message channel between each pair
+/// of lane groups, as a flattened `groups × groups` matrix (`u64::MAX` on
+/// the diagonal and for pairs no channel joins). The channels are
+/// scheduler↔scheduler (transfers, policy traffic),
+/// scheduler↔foreign-resource (recalls and the transfer they trigger),
+/// resource→estimator (status updates), and estimator→scheduler
+/// (batches). A [`ShardPlan`] groups lanes by shard and keeps the least
+/// entry, its lookahead; the planner groups them by cluster
+/// ([`cluster_pair_latency`]). Exact routing enumerates the channels;
 /// hierarchical routing lower-bounds them by the anchor-to-anchor
-/// distance of the shards' anchor sets (safe: every modelled latency is
+/// distance of the groups' anchor sets (safe: every modelled latency is
 /// `up + D + up ≥ D`).
-#[allow(clippy::needless_range_loop, reason = "index spans parallel tables")]
-fn cross_shard_min_latency(shared: &SharedWorld, shard_of_lane: &[u32], shards: usize) -> Vec<u64> {
+fn channel_min_latency(shared: &SharedWorld, group_of_lane: &[u32], groups: usize) -> Vec<u64> {
     let layout = &shared.layout;
     let routing = &shared.routing;
     let n_clusters = layout.members.len();
-    let n_est = layout.est_node.len();
-    let mut m = vec![u64::MAX; shards * shards];
+    let mut m = vec![u64::MAX; groups * groups];
     let mut fold = |s: u32, t: u32, lat: u64| {
-        if s != t {
-            let (s, t) = (s as usize, t as usize);
-            let v = m[s * shards + t].min(lat);
-            m[s * shards + t] = v;
-            m[t * shards + s] = v;
-        }
+        let (s, t) = (s as usize, t as usize);
+        let v = m[s * groups + t].min(lat);
+        m[s * groups + t] = v;
+        m[t * groups + s] = v;
     };
+    let scheds = layout.sched_node.iter().copied().zip(0..);
+    let ests = layout.est_node.iter().copied().zip(n_clusters..);
+    let res_lane = layout.res_cluster.iter().map(|&c| c as usize);
+    let res = layout.res_node.iter().copied().zip(res_lane);
     if !routing.is_hier() {
-        // Exact mode: enumerate every channel class.
-        for c in 0..n_clusters {
-            let sc = shard_of_lane[c];
-            let from = layout.sched_node[c];
-            for d in (c + 1)..n_clusters {
-                if shard_of_lane[d] != sc {
-                    let lat = routing.latency(from, layout.sched_node[d]).unwrap_or(0);
-                    fold(sc, shard_of_lane[d], lat);
-                }
-            }
-        }
-        for (r, &rnode) in layout.res_node.iter().enumerate() {
-            let rs = shard_of_lane[layout.res_cluster[r] as usize];
-            // Recall / post-recall transfer channels to foreign schedulers.
-            for c in 0..n_clusters {
-                if shard_of_lane[c] != rs {
-                    let lat = routing.latency(layout.sched_node[c], rnode).unwrap_or(0);
-                    fold(shard_of_lane[c], rs, lat);
-                }
-            }
-            // Status updates to estimators.
-            for e in 0..n_est {
-                let es = shard_of_lane[n_clusters + e];
-                if es != rs {
-                    let lat = routing.latency(rnode, layout.est_node[e]).unwrap_or(0);
-                    fold(rs, es, lat);
-                }
-            }
-        }
-        for e in 0..n_est {
-            let es = shard_of_lane[n_clusters + e];
-            let enode = layout.est_node[e];
-            for c in 0..n_clusters {
-                if shard_of_lane[c] != es {
-                    let lat = routing.latency(enode, layout.sched_node[c]).unwrap_or(0);
-                    fold(es, shard_of_lane[c], lat);
-                }
-            }
-        }
-    } else {
-        // Hierarchical mode: per shard, the set of anchors any of its
-        // endpoint nodes (schedulers, resources, estimators) resolves to;
-        // the pairwise anchor distance lower-bounds every cross latency.
-        let mut anchors: Vec<std::collections::BTreeSet<u32>> =
-            vec![std::collections::BTreeSet::new(); shards];
-        let mut note = |shard: u32, node: NodeId| {
-            if let Some(a) = routing.anchor_of(node) {
-                anchors[shard as usize].insert(a);
+        // Exact mode: enumerate every channel class, as (node, lane)
+        // endpoints, and route each that crosses groups.
+        let mut cross = |(a, la): (NodeId, usize), (b, lb): (NodeId, usize)| {
+            let (s, t) = (group_of_lane[la], group_of_lane[lb]);
+            if s != t {
+                fold(s, t, routing.latency(a, b).unwrap_or(0));
             }
         };
-        for c in 0..n_clusters {
-            note(shard_of_lane[c], layout.sched_node[c]);
+        for (c, from) in scheds.clone().enumerate() {
+            scheds.clone().skip(c + 1).for_each(|to| cross(from, to));
         }
-        for (r, &rnode) in layout.res_node.iter().enumerate() {
-            note(shard_of_lane[layout.res_cluster[r] as usize], rnode);
+        for r in res {
+            // Recall / post-recall transfer channels to foreign schedulers,
+            // then status updates to estimators.
+            scheds.clone().for_each(|sched| cross(sched, r));
+            ests.clone().for_each(|est| cross(r, est));
         }
-        for (e, &enode) in layout.est_node.iter().enumerate() {
-            note(shard_of_lane[n_clusters + e], enode);
+        for est in ests {
+            scheds.clone().for_each(|sched| cross(est, sched));
         }
-        for s in 0..shards {
-            for t in (s + 1)..shards {
-                let mut min = u64::MAX;
-                for &a in &anchors[s] {
-                    for &b in &anchors[t] {
-                        let d = routing.anchor_latency(a, b).unwrap_or(u64::MAX);
-                        min = min.min(d);
-                    }
-                }
-                if min != u64::MAX {
+    } else {
+        // Hierarchical mode: per group, the set of anchors any of its
+        // endpoint nodes (schedulers, resources, estimators) resolves to;
+        // the pairwise anchor distance lower-bounds every cross latency.
+        let mut anchors = vec![std::collections::BTreeSet::new(); groups];
+        for (node, lane) in scheds.chain(res).chain(ests) {
+            if let Some(a) = routing.anchor_of(node) {
+                anchors[group_of_lane[lane] as usize].insert(a);
+            }
+        }
+        for s in 0..groups {
+            for t in (s + 1)..groups {
+                let min = anchors[s]
+                    .iter()
+                    .flat_map(|&a| {
+                        anchors[t]
+                            .iter()
+                            .filter_map(move |&b| routing.anchor_latency(a, b))
+                    })
+                    .min();
+                if let Some(min) = min {
                     fold(s as u32, t as u32, min);
                 }
             }
@@ -664,102 +636,13 @@ fn cross_shard_min_latency(shared: &SharedWorld, shard_of_lane: &[u32], shards: 
 /// back to the contiguous assignment.
 const MAX_PLANNED_CLUSTERS: usize = 2048;
 
-/// Flattened `C × C` matrix of the minimum channel latency between every
-/// cluster pair — the same channel classes as [`cross_shard_min_latency`]
-/// but grouped per cluster (estimator channels fold into the estimator's
-/// home cluster), so the planner can treat clusters as the atoms of the
-/// partition. `u64::MAX` on the diagonal and for pairs with no channel.
-fn cluster_pair_min_latency(shared: &SharedWorld) -> Vec<u64> {
-    let layout = &shared.layout;
-    let routing = &shared.routing;
-    let n_clusters = layout.members.len();
-    let mut m = vec![u64::MAX; n_clusters * n_clusters];
-    let mut fold = |a: usize, b: usize, lat: u64| {
-        if a != b {
-            let v = m[a * n_clusters + b].min(lat);
-            m[a * n_clusters + b] = v;
-            m[b * n_clusters + a] = v;
-        }
-    };
-    if !routing.is_hier() {
-        for c in 0..n_clusters {
-            let from = layout.sched_node[c];
-            for d in (c + 1)..n_clusters {
-                fold(
-                    c,
-                    d,
-                    routing.latency(from, layout.sched_node[d]).unwrap_or(0),
-                );
-            }
-        }
-        for (r, &rnode) in layout.res_node.iter().enumerate() {
-            let rc = layout.res_cluster[r] as usize;
-            for c in 0..n_clusters {
-                fold(
-                    c,
-                    rc,
-                    routing.latency(layout.sched_node[c], rnode).unwrap_or(0),
-                );
-            }
-            for (e, &enode) in layout.est_node.iter().enumerate() {
-                let ec = layout.est_home[e] as usize;
-                fold(rc, ec, routing.latency(rnode, enode).unwrap_or(0));
-            }
-        }
-        for (e, &enode) in layout.est_node.iter().enumerate() {
-            let ec = layout.est_home[e] as usize;
-            for c in 0..n_clusters {
-                fold(
-                    ec,
-                    c,
-                    routing.latency(enode, layout.sched_node[c]).unwrap_or(0),
-                );
-            }
-        }
-    } else {
-        // Hierarchical mode: per-cluster anchor sets, pairwise anchor
-        // distance as the lower bound (same argument as the shard matrix).
-        let mut anchors: Vec<std::collections::BTreeSet<u32>> =
-            vec![std::collections::BTreeSet::new(); n_clusters];
-        let mut note = |cluster: usize, node: NodeId| {
-            if let Some(a) = routing.anchor_of(node) {
-                anchors[cluster].insert(a);
-            }
-        };
-        for c in 0..n_clusters {
-            note(c, layout.sched_node[c]);
-        }
-        for (r, &rnode) in layout.res_node.iter().enumerate() {
-            note(layout.res_cluster[r] as usize, rnode);
-        }
-        for (e, &enode) in layout.est_node.iter().enumerate() {
-            note(layout.est_home[e] as usize, enode);
-        }
-        // The pairwise loop below costs Σ|Aᵢ|·|Aⱼ|; on huge grids shrink
-        // each set to the cluster's scheduler anchor (resources anchor
-        // near their scheduler, so this keeps the grouping signal).
-        if anchors.iter().map(|a| a.len()).sum::<usize>() > 4 * n_clusters {
-            for (c, set) in anchors.iter_mut().enumerate() {
-                if let Some(a) = routing.anchor_of(layout.sched_node[c]) {
-                    *set = std::collections::BTreeSet::from([a]);
-                }
-            }
-        }
-        for a in 0..n_clusters {
-            for b in (a + 1)..n_clusters {
-                let mut min = u64::MAX;
-                for &x in &anchors[a] {
-                    for &y in &anchors[b] {
-                        min = min.min(routing.anchor_latency(x, y).unwrap_or(u64::MAX));
-                    }
-                }
-                if min != u64::MAX {
-                    fold(a, b, min);
-                }
-            }
-        }
-    }
-    m
+/// [`channel_min_latency`] with each cluster a group of its own: the
+/// planner's `C × C` matrix, which treats clusters as the atoms of the
+/// partition.
+fn cluster_pair_latency(shared: &SharedWorld) -> Vec<u64> {
+    let n_clusters = shared.layout.members.len();
+    let clusters: Vec<u32> = (0..n_clusters as u32).collect();
+    channel_min_latency(shared, &group_lanes(&shared.layout, &clusters), n_clusters)
 }
 
 /// The enabler-independent world of one configuration: topology, routing,
@@ -958,44 +841,82 @@ mod tests {
         }
     }
 
+    /// A deterministic pseudo-random cluster→shard map from `aseed`,
+    /// patched so every shard owns at least one cluster.
+    fn assignment(n_clusters: usize, shards: usize, aseed: u64) -> Vec<u32> {
+        let mut a: Vec<u32> = (0..n_clusters)
+            .map(|c| {
+                let mut x = aseed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                x ^= x >> 30;
+                x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                (x % shards as u64) as u32
+            })
+            .collect();
+        for (s, shard) in a.iter_mut().take(shards).enumerate() {
+            *shard = s as u32;
+        }
+        a
+    }
+
     #[test]
-    fn shard_plan_latency_matrix_lower_bounds_real_channels() {
-        let shared = SharedWorld::build(&small_cfg());
-        let plan = ShardPlan::contiguous(&shared, 2);
-        let layout = &shared.layout;
-        assert_eq!(plan.shards, 2);
-        let min = plan.min_cross_latency();
-        assert!(min > 0 && min != u64::MAX);
-        // No cross-shard channel may undercut the matrix entry.
-        for c in 0..layout.members.len() {
-            for d in 0..layout.members.len() {
-                let (s, t) = (plan.shard_of_lane[c], plan.shard_of_lane[d]);
-                if s != t {
-                    let lat = shared
-                        .routing
-                        .latency(layout.sched_node[c], layout.sched_node[d])
-                        .unwrap();
-                    assert!(lat >= plan.min_lat[(s as usize) * 2 + t as usize]);
+    fn shard_plan_lookahead_is_the_least_crossing_channel_latency() {
+        let name = "shard_plan_lookahead_is_the_least_crossing_channel_latency";
+        gridscale_desim::cases(name, 12, |rng| {
+            let cfg = GridConfig {
+                nodes: rng.int_range(60, 120) as usize,
+                schedulers: rng.int_range(2, 8) as usize,
+                estimators: rng.int_range(1, 3) as usize,
+                seed: rng.int_range(0, u64::MAX),
+                ..small_cfg()
+            };
+            let shared = SharedWorld::build(&cfg);
+            assert!(!shared.routing.is_hier());
+            let layout = &shared.layout;
+            let nc = layout.members.len();
+            let shards = (rng.int_range(2, 4) as usize).min(nc);
+            let assign = assignment(nc, shards, rng.int_range(0, u64::MAX));
+            let plan = ShardPlan::from_cluster_assignment(&shared, &assign, shards);
+            // Every channel endpoint as (node, lane), by class.
+            let scheds: Vec<(NodeId, usize)> = layout.sched_node.iter().copied().zip(0..).collect();
+            let res_lane = layout.res_cluster.iter().map(|&c| c as usize);
+            let res: Vec<(NodeId, usize)> = layout.res_node.iter().copied().zip(res_lane).collect();
+            let ests: Vec<(NodeId, usize)> = layout.est_node.iter().copied().zip(nc..).collect();
+            // sched↔sched, sched↔foreign resource, resource→estimator,
+            // estimator→sched: the least latency of any that crosses.
+            let mut want = u64::MAX;
+            for (from, to) in [
+                (&scheds, &scheds),
+                (&scheds, &res),
+                (&res, &ests),
+                (&ests, &scheds),
+            ] {
+                for &(a, la) in from {
+                    for &(b, lb) in to {
+                        if plan.shard_of_lane[la] != plan.shard_of_lane[lb] {
+                            want = want.min(shared.routing.latency(a, b).unwrap());
+                        }
+                    }
                 }
             }
-        }
+            assert!(want != u64::MAX, "schedulers sit on every shard");
+            assert_eq!(plan.min_cross_latency, want);
+        });
     }
 
     #[test]
     fn shard_plan_single_shard_has_no_cross_latency() {
         let shared = SharedWorld::build(&small_cfg());
         let plan = ShardPlan::contiguous(&shared, 1);
-        assert_eq!(plan.min_cross_latency(), u64::MAX);
+        assert_eq!(plan.min_cross_latency, u64::MAX);
         assert!(plan.shard_of_lane.iter().all(|&s| s == 0));
     }
 
-    #[test]
-    fn latency_aware_plan_is_balanced_and_widens_lookahead() {
-        // Transit-stub topology: stub-local channels are short, transit
-        // crossings are long — the planner should cut along the transits.
-        let cfg = GridConfig {
-            nodes: 640,
-            schedulers: 16,
+    /// A transit-stub world with two estimators; at 2,048 nodes or more
+    /// it routes hierarchically.
+    fn transit_stub_cfg(nodes: usize, schedulers: usize) -> GridConfig {
+        GridConfig {
+            nodes,
+            schedulers,
             estimators: 2,
             topology: TopologySpec::TransitStub,
             workload: WorkloadConfig {
@@ -1005,8 +926,66 @@ mod tests {
             },
             drain: SimTime::from_ticks(8_000),
             ..GridConfig::default()
-        };
-        let shared = SharedWorld::build(&cfg);
+        }
+    }
+
+    /// `(lookahead, FNV-1a digest of the lane → shard map)` of the
+    /// latency-aware plans at 2, 4 and 8 shards, `auto` on 4 cores and
+    /// the 3-shard contiguous plan.
+    fn plan_pins(shared: &SharedWorld) -> Vec<(u64, u64)> {
+        let mut plans: Vec<ShardPlan> = [2, 4, 8]
+            .into_iter()
+            .map(|s| ShardPlan::latency_aware(shared, s))
+            .collect();
+        plans.push(ShardPlan::auto(shared, 4));
+        plans.push(ShardPlan::contiguous(shared, 3));
+        plans
+            .iter()
+            .map(|p| {
+                let digest = p
+                    .shard_of_lane
+                    .iter()
+                    .fold(0xCBF2_9CE4_8422_2325u64, |h, &s| {
+                        (h ^ u64::from(s)).wrapping_mul(0x0100_0000_01B3)
+                    });
+                (p.min_cross_latency, digest)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn plans_are_pinned_on_an_exact_world() {
+        let shared = SharedWorld::build(&transit_stub_cfg(640, 16));
+        assert!(!shared.routing.is_hier());
+        let pins = [
+            (20, 2_479_537_884_362_065_008),
+            (10, 6_391_379_508_379_907_016),
+            (10, 4_837_807_755_051_507_358),
+            (20, 2_479_537_884_362_065_008),
+            (5, 12_842_216_687_002_269_076),
+        ];
+        assert_eq!(plan_pins(&shared), pins);
+    }
+
+    #[test]
+    fn plans_are_pinned_on_a_hier_world() {
+        let shared = SharedWorld::build(&transit_stub_cfg(2304, 24));
+        assert!(shared.routing.is_hier());
+        let pins = [
+            (20, 1_106_777_701_838_374_495),
+            (20, 15_617_081_334_234_281_102),
+            (20, 16_729_642_986_224_805_916),
+            (20, 15_617_081_334_234_281_102),
+            (10, 5_466_411_211_811_153_190),
+        ];
+        assert_eq!(plan_pins(&shared), pins);
+    }
+
+    #[test]
+    fn latency_aware_plan_is_balanced_and_widens_lookahead() {
+        // Transit-stub topology: stub-local channels are short, transit
+        // crossings are long — the planner should cut along the transits.
+        let shared = SharedWorld::build(&transit_stub_cfg(640, 16));
         let n_clusters = shared.layout.members.len();
         for shards in [2usize, 4] {
             let smart = ShardPlan::latency_aware(&shared, shards);
@@ -1025,10 +1004,10 @@ mod tests {
             // The whole point: the latency-aware boundary is never worse
             // than the topology-blind one.
             assert!(
-                smart.min_cross_latency() >= naive.min_cross_latency(),
+                smart.min_cross_latency >= naive.min_cross_latency,
                 "smart {} < naive {} at {shards} shards",
-                smart.min_cross_latency(),
-                naive.min_cross_latency()
+                smart.min_cross_latency,
+                naive.min_cross_latency
             );
         }
     }
@@ -1094,12 +1073,12 @@ mod tests {
             for other in 2..=cores.min(n_clusters) {
                 let alt = ShardPlan::latency_aware(&shared, other);
                 assert!(
-                    plan.shards == 1 || plan.min_cross_latency() >= alt.min_cross_latency(),
+                    plan.shards == 1 || plan.min_cross_latency >= alt.min_cross_latency,
                     "auto picked {} (lookahead {}) but {} shards gives {}",
                     plan.shards,
-                    plan.min_cross_latency(),
+                    plan.min_cross_latency,
                     other,
-                    alt.min_cross_latency()
+                    alt.min_cross_latency
                 );
             }
             assert_scopes_partition_world(&shared, &plan);
@@ -1160,23 +1139,6 @@ mod tests {
                 };
                 return (cfg, shards, aseed);
             }
-        }
-
-        /// A deterministic pseudo-random cluster→shard map from `aseed`,
-        /// patched so every shard owns at least one cluster.
-        fn assignment(n_clusters: usize, shards: usize, aseed: u64) -> Vec<u32> {
-            let mut a: Vec<u32> = (0..n_clusters)
-                .map(|c| {
-                    let mut x = aseed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    x ^= x >> 30;
-                    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    (x % shards as u64) as u32
-                })
-                .collect();
-            for (s, shard) in a.iter_mut().take(shards).enumerate() {
-                *shard = s as u32;
-            }
-            a
         }
 
         #[test]

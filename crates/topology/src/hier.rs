@@ -210,45 +210,6 @@ impl HierRouting {
         let mid = self.h[au as usize * self.anchors.len() + av as usize];
         (mid != u16::MAX).then(|| up.saturating_add(mid))
     }
-
-    /// Mean modelled latency: mean anchor-pair distance plus twice the
-    /// mean up-distance — the `O(n + S²)` stand-in for the exact table's
-    /// all-pairs mean.
-    pub fn mean_pair_latency(&self) -> f64 {
-        let s = self.anchors.len();
-        let mut sum = 0u128;
-        let mut cnt = 0u64;
-        for a in 0..s {
-            for b in 0..s {
-                if a != b {
-                    let d = self.d[a * s + b];
-                    if d != UNREACHABLE {
-                        sum += d as u128;
-                        cnt += 1;
-                    }
-                }
-            }
-        }
-        let mid = if cnt == 0 {
-            0.0
-        } else {
-            sum as f64 / cnt as f64
-        };
-        let mut up_sum = 0u128;
-        let mut up_cnt = 0u64;
-        for &u in &self.up_dist {
-            if u != UNREACHABLE {
-                up_sum += u as u128;
-                up_cnt += 1;
-            }
-        }
-        let up = if up_cnt == 0 {
-            0.0
-        } else {
-            up_sum as f64 / up_cnt as f64
-        };
-        mid + 2.0 * up
-    }
 }
 
 #[cfg(test)]
@@ -539,6 +500,5 @@ mod tests {
         let hr = HierRouting::build(&g, &[1]);
         assert_eq!(hr.latency(0, 2), Some(9));
         assert_eq!(hr.hops(0, 2), Some(2));
-        assert_eq!(hr.mean_pair_latency(), 2.0 * (4.0 + 5.0) / 3.0);
     }
 }

@@ -19,7 +19,9 @@
 //! counts, which are identical under any correct SPF implementation. Above
 //! [`Routing::HIER_THRESHOLD`] nodes the exact all-pairs table no longer
 //! fits in memory and [`Routing`] switches to the anchor-based two-level
-//! model [`HierRouting`], keeping 10⁵–10⁶-node grids buildable.
+//! model [`HierRouting`], keeping 10⁵–10⁶-node grids buildable. Both
+//! models, and the spur searches behind the virtual links of
+//! [`VlinkTable`], run one bucket-queue shortest-path kernel.
 //!
 //! [`GridMap`] performs the paper's "map elements such as routers,
 //! schedulers, and resources to obtain Grid topologies" step: scheduler and

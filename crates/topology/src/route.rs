@@ -85,26 +85,6 @@ impl Routing {
         }
     }
 
-    /// Sorts `candidates` in place by `(latency from src, node id)`,
-    /// nearest first; unreachable candidates sink to the end.
-    pub fn rank_candidates(&self, src: NodeId, candidates: &mut [NodeId]) {
-        match self {
-            Routing::Exact(rt) => rt.rank_candidates(src, candidates),
-            Routing::Hier(hr) => {
-                candidates.sort_by_key(|&c| (hr.latency(src, c).unwrap_or(u64::MAX), c));
-            }
-        }
-    }
-
-    /// Mean pair latency — exact over all ordered pairs, or the anchor
-    /// model's `O(n + S²)` estimate.
-    pub fn mean_pair_latency(&self) -> f64 {
-        match self {
-            Routing::Exact(rt) => rt.mean_pair_latency(),
-            Routing::Hier(hr) => hr.mean_pair_latency(),
-        }
-    }
-
     /// The anchor (scheduler) index node `v` is assigned to — `None` under
     /// exact routing, where no anchor decomposition exists.
     pub fn anchor_of(&self, v: NodeId) -> Option<u32> {

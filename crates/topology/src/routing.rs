@@ -121,44 +121,10 @@ impl RoutingTable {
             .min()
             .map(|(_, c)| c)
     }
-
-    /// Sorts `candidates` in place by `(latency from src, node id)`,
-    /// nearest first; unreachable candidates sink to the end. The
-    /// allocation-free batch form of [`RoutingTable::nearest`]: after the
-    /// call, `candidates.first()` is what `nearest` would have returned
-    /// (when reachable). Used to precompute ranked-neighbor tables once
-    /// per topology instead of re-scanning candidates per decision.
-    pub fn rank_candidates(&self, src: NodeId, candidates: &mut [NodeId]) {
-        candidates.sort_by_key(|&c| (self.latency(src, c).unwrap_or(UNREACHABLE), c));
-    }
-
-    /// Mean latency over all ordered reachable pairs (excluding the
-    /// diagonal); a summary statistic used by topology ablations. Streams
-    /// over the row-major table — no allocation, O(n²) time.
-    pub fn mean_pair_latency(&self) -> f64 {
-        let mut sum = 0u128;
-        let mut cnt = 0u64;
-        for s in 0..self.n {
-            for t in 0..self.n {
-                if s != t {
-                    let d = self.dist[s * self.n + t];
-                    if d != UNREACHABLE {
-                        sum += d as u128;
-                        cnt += 1;
-                    }
-                }
-            }
-        }
-        if cnt == 0 {
-            0.0
-        } else {
-            sum as f64 / cnt as f64
-        }
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::generate::{self, LinkParams};
     use gridscale_desim::SimRng;
@@ -220,7 +186,7 @@ mod tests {
 
     /// Random graph with latencies drawn from `lat` — a narrow range makes
     /// equal-cost paths, and so first-hop ties, common.
-    fn random_graph(n: usize, density: f64, lat: (u64, u64), seed: u64) -> Graph {
+    pub(crate) fn random_graph(n: usize, density: f64, lat: (u64, u64), seed: u64) -> Graph {
         let mut rng = SimRng::new(seed);
         let mut g = Graph::with_nodes(n);
         for a in 0..n as NodeId {
@@ -389,24 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_candidates_orders_by_latency_then_id() {
-        let rt = RoutingTable::build(&line());
-        let mut c = vec![3, 1, 2];
-        rt.rank_candidates(0, &mut c);
-        assert_eq!(c, vec![1, 2, 3]);
-        assert_eq!(rt.nearest(0, &c), Some(c[0]), "head agrees with nearest");
-
-        // Unreachable candidates sink to the end.
-        let mut g = Graph::with_nodes(4);
-        g.add_link(0, 1, 5, 1.0);
-        let rt = RoutingTable::build(&g);
-        let mut c = vec![2, 1, 3];
-        rt.rank_candidates(0, &mut c);
-        assert_eq!(c[0], 1);
-        assert_eq!(&c[1..], &[2, 3], "unreachable, tie-broken by id");
-    }
-
-    #[test]
     fn path_latency_matches_table_on_random_graph() {
         let mut rng = SimRng::new(99);
         let g = generate::barabasi_albert(80, 2, LinkParams::default(), &mut rng);
@@ -444,15 +392,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn mean_pair_latency_simple() {
-        let mut g = Graph::with_nodes(2);
-        g.add_link(0, 1, 7, 1.0);
-        let rt = RoutingTable::build(&g);
-        assert!((rt.mean_pair_latency() - 7.0).abs() < 1e-12);
-        let empty = RoutingTable::build(&Graph::with_nodes(1));
-        assert_eq!(empty.mean_pair_latency(), 0.0);
     }
 }

@@ -1,4 +1,6 @@
-//! The single-source shortest-path kernel every routing model runs.
+//! The shortest-path kernel every latency of the world build comes from:
+//! the exact routing table, the anchor model, and the virtual links' spur
+//! searches.
 //!
 //! Link latencies are small positive integers (`1..=`[`Graph::MAX_LATENCY`],
 //! 1–10 ticks from the generators), so a bucket queue (Dial's algorithm)
@@ -7,7 +9,8 @@
 //! tentative distance in `[cur, cur + max_latency]`, and each bucket is a
 //! plain stack of node ids. Labels are `(d, h)` — latency, then
 //! saturating hop count — plus whatever a [`Label`] carries on top (a
-//! first hop, an anchor index, or nothing).
+//! first hop, an anchor index, a predecessor, or nothing). A label may
+//! also elide edges and stop the search at a target.
 //!
 //! Every label the routing models store is the unique solution of the
 //! Bellman equations `L(v) = min over neighbours u of extend(L(u), u→v)`:
@@ -15,8 +18,8 @@
 //! nodes at a strictly smaller distance, all of which are settled before
 //! its bucket is drained. Any label-setting order therefore reproduces the
 //! tables a binary-heap Dijkstra builds, bit for bit; the one rule that is
-//! *not* a label minimum — which optimal predecessor a first hop follows —
-//! is restated explicitly in [`FirstHop`].
+//! *not* a label minimum — which optimal predecessor a path follows — is
+//! restated explicitly in [`FirstHop`] and [`LowestPred`].
 
 use crate::graph::{Graph, NodeId};
 
@@ -98,7 +101,8 @@ impl Csr {
     }
 }
 
-/// What a search carries on top of `(d, h)`, and how it breaks ties.
+/// What a search carries on top of `(d, h)`, how it breaks ties, and
+/// which edges and how much of the graph it visits.
 pub(crate) trait Label {
     /// `u`'s edge strictly improved `v`'s `(d, h)`: `v` inherits from `u`.
     fn improve(&mut self, u: usize, v: usize);
@@ -106,6 +110,18 @@ pub(crate) trait Label {
     /// preferred of the two. `d`/`h` are final for `u` and for every
     /// predecessor this label has recorded.
     fn tie(&mut self, u: usize, v: usize, d: &[u64], h: &[u16]);
+    /// Whether the search ignores CSR edge `e` (an index into the
+    /// flattened adjacency).
+    #[inline]
+    fn skips(&self, _e: usize) -> bool {
+        false
+    }
+    /// Whether the search ends once `u` is settled, before relaxing its
+    /// edges. Labels of nodes farther away than `u` are then partial.
+    #[inline]
+    fn stops_at(&self, _u: usize) -> bool {
+        false
+    }
 }
 
 /// Plain `(d, h)` labels.
@@ -170,6 +186,37 @@ impl Label for Nearest<'_> {
     }
 }
 
+/// Predecessors of a search from one source to `dst` with one link
+/// elided — the spur search of a Yen deviation. Among the optimal
+/// predecessors of `v`, `v` keeps the one with the lowest id.
+pub(crate) struct LowestPred<'a> {
+    pub(crate) pred: &'a mut [u32],
+    /// Link id of every CSR edge, in the CSR's edge order.
+    pub(crate) link_of: &'a [u32],
+    /// The link the search never crosses (`u32::MAX`: none).
+    pub(crate) elide: u32,
+    pub(crate) dst: usize,
+}
+
+impl Label for LowestPred<'_> {
+    #[inline]
+    fn improve(&mut self, u: usize, v: usize) {
+        self.pred[v] = u as u32;
+    }
+    #[inline]
+    fn tie(&mut self, u: usize, v: usize, _: &[u64], _: &[u16]) {
+        self.pred[v] = self.pred[v].min(u as u32);
+    }
+    #[inline]
+    fn skips(&self, e: usize) -> bool {
+        self.link_of[e] == self.elide
+    }
+    #[inline]
+    fn stops_at(&self, u: usize) -> bool {
+        u == self.dst
+    }
+}
+
 /// The reusable bucket ring of one kernel (see module docs).
 pub(crate) struct Dial {
     ring: Vec<Vec<u32>>,
@@ -184,10 +231,10 @@ impl Dial {
         }
     }
 
-    /// Settles every node reachable from `seeds` over `csr`. The caller
-    /// initialises `d`/`h` to `UNREACHABLE`/`u16::MAX` except at the seeds
-    /// (distance 0, any hop count and label); `label` sees every
-    /// improvement and tie.
+    /// Settles every node reachable from `seeds` over `csr`, until
+    /// `label` stops the search. The caller initialises `d`/`h` to
+    /// `UNREACHABLE`/`u16::MAX` except at the seeds (distance 0, any hop
+    /// count and label); `label` sees every improvement and tie.
     pub(crate) fn run<L: Label>(
         &mut self,
         csr: &Csr,
@@ -211,15 +258,23 @@ impl Dial {
                 if d[u] != cur {
                     continue; // superseded by a shorter distance
                 }
+                if label.stops_at(u) {
+                    self.ring.iter_mut().for_each(Vec::clear);
+                    return;
+                }
                 let hu = h[u];
                 let (lo, hi) = (csr.off[u] as usize, csr.off[u + 1] as usize);
-                for (e, (&v, &w)) in csr.to[lo..hi].iter().zip(&csr.lat[lo..hi]).enumerate() {
+                for (i, (&v, &w)) in csr.to[lo..hi].iter().zip(&csr.lat[lo..hi]).enumerate() {
+                    let e = lo + i;
+                    if label.skips(e) {
+                        continue;
+                    }
                     let v = v as usize;
                     let dv = cur + w as u64;
                     if dv > d[v] {
                         continue;
                     }
-                    let hv = hu.saturating_add(if unit_hops { 1 } else { csr.hops[lo + e] });
+                    let hv = hu.saturating_add(if unit_hops { 1 } else { csr.hops[e] });
                     if dv < d[v] {
                         d[v] = dv;
                         h[v] = hv;

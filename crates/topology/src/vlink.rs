@@ -14,10 +14,11 @@
 //! * **Exact** (paper scale, `< HIER_THRESHOLD` nodes): a truncated
 //!   Yen-style enumeration. The first path is the [`RoutingTable`]
 //!   shortest path; further candidates come from one Yen deviation level
-//!   (re-running Dijkstra with each single link of the best path elided),
-//!   deduplicated and ordered by `(latency, hops, link ids)`. One
-//!   deviation level bounds the precompute at `O(pairs · pathlen)`
-//!   Dijkstras while still yielding genuinely link-disjoint detours.
+//!   (a spur search on the `spf` kernel with each single link of the best
+//!   path elided, stopping at the target), deduplicated and ordered by
+//!   `(latency, hops, link ids)`. One deviation level bounds the
+//!   precompute at `O(pairs · pathlen)` searches while still yielding
+//!   genuinely link-disjoint detours.
 //! * **Hier** (10⁵–10⁶ nodes): enumerating physical paths is infeasible,
 //!   so each cluster is modelled by one synthetic *uplink* whose capacity
 //!   is the egress bandwidth of its scheduler (gateway) node, and every
@@ -35,8 +36,7 @@ use crate::graph::{Graph, NodeId};
 use crate::map::GridMap;
 use crate::route::Routing;
 use crate::routing::RoutingTable;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::spf::{Csr, Dial, LowestPred, UNREACHABLE};
 
 /// One candidate path of a virtual link.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +103,7 @@ impl VlinkTable {
         let ids = g.link_ids();
         let link_cap = g.link_capacities(capacity_scale);
         let mut paths = vec![Vec::new(); nc * (nc.saturating_sub(1)) / 2];
-        let mut scratch = DijkstraScratch::new(g.node_count());
+        let mut spur = SpurSearch::new(g, &ids);
         for a in 0..nc {
             for b in (a + 1)..nc {
                 let (sa, sb) = (map.cluster_scheduler(a), map.cluster_scheduler(b));
@@ -115,7 +115,7 @@ impl VlinkTable {
                 // One Yen deviation level: elide each link of the best
                 // path in turn and re-route.
                 for &elide in &best.links {
-                    if let Some(nodes) = scratch.shortest_path(g, &ids, sa, sb, elide) {
+                    if let Some(nodes) = spur.path(sa, sb, elide) {
                         let spec = spec_of(g, &ids, &link_cap, &nodes);
                         if spec.links != best.links && !candidates.contains(&spec) {
                             candidates.push(spec);
@@ -258,91 +258,61 @@ fn spec_of(g: &Graph, ids: &[Vec<u32>], link_cap: &[f64], nodes: &[NodeId]) -> P
     }
 }
 
-/// Reusable Dijkstra arena for the spur searches: distance / hop / pred
-/// arrays sized once and reset per query via a generation stamp.
-struct DijkstraScratch {
-    dist: Vec<u64>,
-    hops: Vec<u16>,
-    pred: Vec<NodeId>,
-    stamp: Vec<u32>,
-    generation: u32,
+/// The spur searches of one graph: the `spf` kernel over a CSR copy,
+/// with a [`LowestPred`] label, reusing its arrays across queries.
+struct SpurSearch {
+    csr: Csr,
+    /// Link id of every CSR edge.
+    link_of: Vec<u32>,
+    dial: Dial,
+    d: Vec<u64>,
+    h: Vec<u16>,
+    pred: Vec<u32>,
 }
 
-impl DijkstraScratch {
-    fn new(n: usize) -> DijkstraScratch {
-        DijkstraScratch {
-            dist: vec![0; n],
-            hops: vec![0; n],
+impl SpurSearch {
+    fn new(g: &Graph, ids: &[Vec<u32>]) -> SpurSearch {
+        let csr = Csr::of(g);
+        let n = csr.len();
+        SpurSearch {
+            dial: Dial::for_csr(&csr),
+            csr,
+            link_of: ids.concat(),
+            d: vec![UNREACHABLE; n],
+            h: vec![u16::MAX; n],
             pred: vec![0; n],
-            stamp: vec![0; n],
-            generation: 0,
         }
     }
 
-    /// Shortest path `src → dst` with link `elide` removed, breaking
-    /// latency ties by fewer hops, then toward the lowest-id predecessor
-    /// at each node. That is not [`RoutingTable::build`]'s rule (the
-    /// optimal predecessor with the least `(latency from src, id)`), so
-    /// between equal-cost paths a reroute may pick a different one than
-    /// the table; the two agree on latency and hops.
-    fn shortest_path(
-        &mut self,
-        g: &Graph,
-        ids: &[Vec<u32>],
-        src: NodeId,
-        dst: NodeId,
-        elide: u32,
-    ) -> Option<Vec<NodeId>> {
-        self.generation += 1;
-        let generation = self.generation;
-        let mut heap: BinaryHeap<Reverse<(u64, u16, NodeId)>> = BinaryHeap::new();
-        self.dist[src as usize] = 0;
-        self.hops[src as usize] = 0;
-        self.pred[src as usize] = src;
-        self.stamp[src as usize] = generation;
-        heap.push(Reverse((0, 0, src)));
-        while let Some(Reverse((d, h, v))) = heap.pop() {
-            if self.stamp[v as usize] == generation
-                && (d, h) > (self.dist[v as usize], self.hops[v as usize])
-            {
-                continue;
-            }
-            if v == dst {
-                break;
-            }
-            for (i, l) in g.neighbors(v).iter().enumerate() {
-                if ids[v as usize][i] == elide {
-                    continue;
-                }
-                let nd = d + l.latency;
-                let nh = h + 1;
-                let seen = self.stamp[l.to as usize] == generation;
-                let improves = !seen
-                    || nd < self.dist[l.to as usize]
-                    || (nd == self.dist[l.to as usize] && nh < self.hops[l.to as usize])
-                    || (nd == self.dist[l.to as usize]
-                        && nh == self.hops[l.to as usize]
-                        && v < self.pred[l.to as usize]);
-                if improves {
-                    self.dist[l.to as usize] = nd;
-                    self.hops[l.to as usize] = nh;
-                    self.pred[l.to as usize] = v;
-                    self.stamp[l.to as usize] = generation;
-                    heap.push(Reverse((nd, nh, l.to)));
-                }
-            }
-        }
-        if self.stamp[dst as usize] != generation {
+    /// Shortest path `src → dst` with link `elide` removed (`u32::MAX`:
+    /// none), breaking latency ties by fewer hops, then toward the
+    /// lowest-id predecessor at each node. That is not
+    /// [`RoutingTable::build`]'s rule (the optimal predecessor with the
+    /// least `(latency from src, id)`), so between equal-cost paths a
+    /// reroute may pick a different one than the table; the two agree on
+    /// latency and hops.
+    fn path(&mut self, src: NodeId, dst: NodeId, elide: u32) -> Option<Vec<NodeId>> {
+        let (s, t) = (src as usize, dst as usize);
+        self.d.fill(UNREACHABLE);
+        self.h.fill(u16::MAX);
+        self.d[s] = 0;
+        self.h[s] = 0;
+        let mut label = LowestPred {
+            pred: &mut self.pred,
+            link_of: &self.link_of,
+            elide,
+            dst: t,
+        };
+        self.dial
+            .run(&self.csr, &[src], &mut self.d, &mut self.h, &mut label);
+        if self.d[t] == UNREACHABLE {
             return None;
         }
         let mut path = vec![dst];
-        let mut v = dst;
-        while v != src {
-            v = self.pred[v as usize];
-            path.push(v);
-            if path.len() > g.node_count() {
-                return None; // defensive: corrupt pred chain
-            }
+        let mut v = t;
+        while v != s {
+            v = self.pred[v] as usize;
+            path.push(v as NodeId);
         }
         path.reverse();
         Some(path)
@@ -353,8 +323,10 @@ impl DijkstraScratch {
 mod tests {
     use super::*;
     use crate::generate::{self, LinkParams};
-    use crate::routing::RoutingTable;
+    use crate::routing::tests::random_graph;
     use gridscale_desim::SimRng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn exact_sample(seed: u64) -> (Graph, Routing, GridMap) {
         let mut rng = SimRng::new(seed);
@@ -373,6 +345,152 @@ mod tests {
         (g, routing, map)
     }
 
+    /// The binary-heap spur search the table was built with before the
+    /// bucket-queue kernel, kept as the differential oracle: keyed on
+    /// `(d, h, node)`, it takes a tied `(d, h)` from a lower-id
+    /// predecessor and stops when it pops `dst`.
+    fn heap_spur_path(
+        g: &Graph,
+        ids: &[Vec<u32>],
+        src: NodeId,
+        dst: NodeId,
+        elide: u32,
+    ) -> Option<Vec<NodeId>> {
+        let n = g.node_count();
+        let (mut dist, mut hops) = (vec![UNREACHABLE; n], vec![u16::MAX; n]);
+        let mut pred = vec![src; n];
+        let mut heap: BinaryHeap<Reverse<(u64, u16, NodeId)>> = BinaryHeap::new();
+        dist[src as usize] = 0;
+        hops[src as usize] = 0;
+        heap.push(Reverse((0, 0, src)));
+        while let Some(Reverse((d, h, v))) = heap.pop() {
+            if (d, h) > (dist[v as usize], hops[v as usize]) {
+                continue;
+            }
+            if v == dst {
+                break;
+            }
+            for (i, l) in g.neighbors(v).iter().enumerate() {
+                if ids[v as usize][i] == elide {
+                    continue;
+                }
+                let (to, nd, nh) = (l.to as usize, d + l.latency, h + 1);
+                if (nd, nh, v) < (dist[to], hops[to], pred[to]) {
+                    dist[to] = nd;
+                    hops[to] = nh;
+                    pred[to] = v;
+                    heap.push(Reverse((nd, nh, l.to)));
+                }
+            }
+        }
+        if dist[dst as usize] == UNREACHABLE {
+            return None;
+        }
+        let mut path = vec![dst];
+        while *path.last()? != src {
+            path.push(pred[*path.last()? as usize]);
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Between every pair of `ends`, the kernel's spur search equals the
+    /// heap oracle with no link elided and with each link of the routed
+    /// path elided in turn. Returns the number of searches compared.
+    fn assert_spur_matches_heap(g: &Graph, ends: &[NodeId], what: &str) -> usize {
+        let rt = RoutingTable::build(g);
+        let ids = g.link_ids();
+        let caps = g.link_capacities(1.0);
+        let mut spur = SpurSearch::new(g, &ids);
+        let mut searches = 0;
+        for (i, &a) in ends.iter().enumerate() {
+            for &b in &ends[i + 1..] {
+                let routed = rt.path(a, b).map(|p| spec_of(g, &ids, &caps, &p).links);
+                for elide in routed.unwrap_or_default().into_iter().chain([u32::MAX]) {
+                    assert_eq!(
+                        spur.path(a, b, elide),
+                        heap_spur_path(g, &ids, a, b, elide),
+                        "{what}: {a} -> {b} eliding link {elide}"
+                    );
+                    searches += 1;
+                }
+            }
+        }
+        searches
+    }
+
+    /// About 16 endpoints spread over `g`'s node ids.
+    fn spread(g: &Graph) -> Vec<NodeId> {
+        let n = g.node_count();
+        (0..n as NodeId).step_by(n.div_ceil(16).max(1)).collect()
+    }
+
+    #[test]
+    fn spur_search_matches_heap_oracle_on_every_generator() {
+        let lp = LinkParams::default();
+        for seed in 1..=3u64 {
+            let mut rng = SimRng::new(seed);
+            let ba = generate::barabasi_albert(150, 2, lp, &mut rng);
+            assert_spur_matches_heap(&ba, &spread(&ba), &format!("BA seed {seed}"));
+            let wax = generate::waxman(120, 0.3, 0.4, lp, &mut rng);
+            assert_spur_matches_heap(&wax, &spread(&wax), &format!("Waxman seed {seed}"));
+            let ts = generate::transit_stub(3, 4, 3, 8, lp, &mut rng);
+            assert_spur_matches_heap(&ts, &spread(&ts), &format!("transit-stub seed {seed}"));
+        }
+        for n in [2, 3, 7, 40] {
+            let ring = generate::ring(n, lp);
+            assert_spur_matches_heap(&ring, &spread(&ring), &format!("ring {n}"));
+            let star = generate::star(n, lp);
+            assert_spur_matches_heap(&star, &spread(&star), &format!("star {n}"));
+            let mesh = generate::full_mesh(n.min(20), lp);
+            assert_spur_matches_heap(&mesh, &spread(&mesh), &format!("mesh {n}"));
+        }
+    }
+
+    #[test]
+    fn spur_search_matches_heap_oracle_on_ties_gaps_and_max_latencies() {
+        let all: Vec<NodeId> = (0..40).collect();
+        for seed in 0..4u64 {
+            // All latencies 1: equal-cost paths everywhere. At the low
+            // densities the graph falls apart into components.
+            for density in [0.04, 0.1, 0.25] {
+                let g = random_graph(40, density, (1, 1), seed);
+                assert_spur_matches_heap(&g, &all, &format!("unit latencies {density} {seed}"));
+            }
+        }
+        let mut g = Graph::with_nodes(6);
+        g.add_link(0, 1, 1, 1.0);
+        g.add_link(3, 4, 2, 1.0);
+        assert_spur_matches_heap(&g, &all[..6], "isolated nodes and two components");
+        // The ring spans 2^17 buckets here, so a few endpoints suffice.
+        let max = Graph::MAX_LATENCY;
+        for seed in 0..2u64 {
+            let g = random_graph(40, 0.1, (max - 2, max), seed);
+            assert_spur_matches_heap(&g, &[0, 9, 18, 27, 36], &format!("near-max {seed}"));
+            let g = random_graph(40, 0.1, (1, max), seed);
+            assert_spur_matches_heap(&g, &[0, 9, 18, 27, 36], &format!("full range {seed}"));
+        }
+        // Equal-cost detours around one max-latency link.
+        let mut g = Graph::with_nodes(4);
+        g.add_link(0, 3, max, 1.0);
+        g.add_link(0, 1, max - 1, 1.0);
+        g.add_link(1, 3, 1, 1.0);
+        g.add_link(0, 2, 1, 1.0);
+        g.add_link(2, 3, max - 1, 1.0);
+        assert_spur_matches_heap(&g, &all[..4], "max-latency square");
+    }
+
+    #[test]
+    #[ignore = "large differential; run in release with --ignored"]
+    fn spur_search_matches_heap_oracle_on_ba_1000_with_62_clusters() {
+        let mut rng = SimRng::new(1000);
+        let g = generate::barabasi_albert(1000, 2, LinkParams::default(), &mut rng);
+        let routing = Routing::Exact(RoutingTable::build(&g));
+        let map = GridMap::build(&g, &routing, 62, 0, 0.9);
+        let searches = assert_spur_matches_heap(&g, map.schedulers(), "BA 1000");
+        assert!(searches > 62 * 61 / 2, "{searches} searches");
+    }
+
     #[test]
     fn table_and_spur_search_state_their_own_tie_rules() {
         // Links 0–2 (1), 0–1 (3), 2–3 (3), 1–3 (1): both 0→2→3 and 0→1→3
@@ -387,12 +505,45 @@ mod tests {
         let rt = RoutingTable::build(&g);
         assert_eq!(rt.path(0, 3), Some(vec![0, 2, 3]));
         // The spur search keeps the lowest-id optimal predecessor.
-        let ids = g.link_ids();
-        let mut scratch = DijkstraScratch::new(g.node_count());
-        assert_eq!(
-            scratch.shortest_path(&g, &ids, 0, 3, u32::MAX),
-            Some(vec![0, 1, 3])
-        );
+        let mut spur = SpurSearch::new(&g, &g.link_ids());
+        assert_eq!(spur.path(0, 3, u32::MAX), Some(vec![0, 1, 3]));
+    }
+
+    /// FNV-1a digest of every path list of `t`, pair by pair.
+    fn table_digest(t: &VlinkTable) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut eat = |x: u64| h = (h ^ x).wrapping_mul(0x0100_0000_01B3);
+        for a in 0..t.clusters() {
+            for b in (a + 1)..t.clusters() {
+                let list = t.paths(a, b);
+                eat(list.len() as u64);
+                for p in list {
+                    eat(p.latency);
+                    eat(u64::from(p.hops));
+                    eat(p.bottleneck.to_bits());
+                    p.links.iter().for_each(|&l| eat(u64::from(l)));
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn exact_tables_are_pinned_on_three_ba_worlds() {
+        let mut digests = Vec::new();
+        for seed in 1..=3u64 {
+            let mut rng = SimRng::new(seed);
+            let g = generate::barabasi_albert(400, 2, LinkParams::default(), &mut rng);
+            let routing = Routing::Exact(RoutingTable::build(&g));
+            let map = GridMap::build(&g, &routing, 16, 2, 0.9);
+            digests.push(table_digest(&VlinkTable::build(&g, &map, &routing, 4, 1.0)));
+        }
+        let pins = [
+            1_022_278_904_405_902_724,
+            7_531_743_036_102_527_616,
+            7_731_906_113_315_671_413,
+        ];
+        assert_eq!(digests, pins);
     }
 
     #[test]
