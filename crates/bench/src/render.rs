@@ -1,7 +1,7 @@
 //! Rendering measured curves as the paper's tables and figure series.
 
 use crate::runner::CaseOutput;
-use gridscale_core::{CaseId, ScalabilityCurve, VerdictConfidence};
+use gridscale_core::{CaseId, VerdictConfidence};
 use gridscale_desim::json::ToJson;
 
 /// Extracts one numeric series per model: `(name, [(k, value)])`.
@@ -287,16 +287,6 @@ pub fn case_table(case: CaseId) -> String {
 /// Writes a case output as pretty JSON (for archival/EXPERIMENTS.md).
 pub fn to_json(out: &CaseOutput) -> String {
     out.to_json().pretty()
-}
-
-/// Quick textual sanity summary of a single curve (used in tests).
-pub fn summarize_curve(c: &ScalabilityCurve) -> String {
-    format!(
-        "{} case{}: G = {:?}",
-        c.kind.name(),
-        c.case.number(),
-        c.points.iter().map(|p| p.g.round()).collect::<Vec<_>>()
-    )
 }
 
 #[cfg(test)]

@@ -38,10 +38,6 @@ pub trait World {
     fn observe(&mut self, _at: SimTime, _seq: u64, _event: &Self::Event, _budget: u64) -> u64 {
         0
     }
-
-    /// Called once when the run finishes (horizon reached or queue drained).
-    /// Default: no-op. Models use this to close time-weighted statistics.
-    fn finish(&mut self, _now: SimTime) {}
 }
 
 /// Why a call to [`Engine::run_until`] returned.
@@ -63,27 +59,10 @@ pub struct Engine<E> {
     max_events: u64,
 }
 
-impl<E> Default for Engine<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<E> Engine<E> {
-    /// Creates an engine at time zero with an effectively unlimited event
-    /// budget.
-    pub fn new() -> Self {
-        Engine {
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            processed: 0,
-            max_events: u64::MAX,
-        }
-    }
-
-    /// Creates an engine around an existing queue — typically one recycled
-    /// via [`EventQueue::reset`] so its heap allocation survives across
-    /// runs. The clock and counters start from zero as in [`Engine::new`].
+    /// Creates an engine at time zero around `queue` — a fresh one, or one
+    /// recycled via [`EventQueue::reset`] so its allocations survive
+    /// across runs — with an effectively unlimited event budget.
     pub fn from_queue(queue: EventQueue<E>) -> Self {
         Engine {
             queue,
@@ -106,11 +85,6 @@ impl<E> Engine<E> {
     pub fn with_event_budget(mut self, max_events: u64) -> Self {
         self.max_events = max_events;
         self
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// Number of events processed so far.
@@ -166,21 +140,10 @@ impl<E> Engine<E> {
             self.processed += 1;
             world.handle(self.now, ev.event, &mut self.queue);
         };
-        let end = match outcome {
-            RunOutcome::HorizonReached => horizon,
-            _ => self.now,
-        };
-        self.now = end;
-        world.finish(end);
+        if outcome == RunOutcome::HorizonReached {
+            self.now = horizon;
+        }
         outcome
-    }
-
-    /// Runs until the queue drains (or the event budget is exhausted).
-    pub fn run_to_completion<W>(&mut self, world: &mut W) -> RunOutcome
-    where
-        W: World<Event = E>,
-    {
-        self.run_until(world, SimTime::MAX)
     }
 }
 
@@ -188,9 +151,18 @@ impl<E> Engine<E> {
 mod tests {
     use super::*;
 
+    fn t(x: u64) -> SimTime {
+        SimTime::from_ticks(x)
+    }
+
+    fn engine() -> Engine<u64> {
+        Engine::from_queue(EventQueue::new())
+    }
+
+    /// Records what fires; with `respawn`, every event schedules the next
+    /// one 10 ticks later, keyed by its payload.
     struct Counter {
         fired: Vec<u64>,
-        finished_at: Option<SimTime>,
         respawn: bool,
     }
 
@@ -199,18 +171,14 @@ mod tests {
         fn handle(&mut self, now: SimTime, ev: u64, q: &mut EventQueue<u64>) {
             self.fired.push(ev);
             if self.respawn {
-                q.schedule(now + SimTime::from_ticks(10), ev + 1);
+                q.schedule_keyed(now + t(10), ev + 1, ev + 1);
             }
-        }
-        fn finish(&mut self, now: SimTime) {
-            self.finished_at = Some(now);
         }
     }
 
     fn world(respawn: bool) -> Counter {
         Counter {
             fired: vec![],
-            finished_at: None,
             respawn,
         }
     }
@@ -218,73 +186,58 @@ mod tests {
     #[test]
     fn drains_when_no_respawn() {
         let mut w = world(false);
-        let mut e = Engine::new();
-        e.queue_mut().schedule(SimTime::from_ticks(5), 1);
-        e.queue_mut().schedule(SimTime::from_ticks(2), 0);
-        let outcome = e.run_until(&mut w, SimTime::from_ticks(100));
+        let mut e = engine();
+        e.queue_mut().schedule_keyed(t(5), 0, 1);
+        e.queue_mut().schedule_keyed(t(2), 1, 0);
+        let outcome = e.run_until(&mut w, t(100));
         assert_eq!(outcome, RunOutcome::Drained);
         assert_eq!(w.fired, vec![0, 1]);
-        assert_eq!(e.now(), SimTime::from_ticks(5), "clock stops at last event");
+        assert_eq!(e.now, t(5), "clock stops at last event");
         assert_eq!(e.processed(), 2);
     }
 
     #[test]
     fn horizon_stops_infinite_chain() {
         let mut w = world(true);
-        let mut e = Engine::new();
-        e.queue_mut().schedule(SimTime::ZERO, 0);
-        let outcome = e.run_until(&mut w, SimTime::from_ticks(35));
+        let mut e = engine();
+        e.queue_mut().schedule_keyed(SimTime::ZERO, 0, 0);
+        let outcome = e.run_until(&mut w, t(35));
         assert_eq!(outcome, RunOutcome::HorizonReached);
         // Events at t = 0, 10, 20, 30 fire; t = 40 is pending.
         assert_eq!(w.fired, vec![0, 1, 2, 3]);
         assert_eq!(e.queue().len(), 1);
-        assert_eq!(
-            e.now(),
-            SimTime::from_ticks(35),
-            "clock advances to horizon"
-        );
-        assert_eq!(w.finished_at, Some(SimTime::from_ticks(35)));
+        assert_eq!(e.now, t(35), "clock advances to horizon");
     }
 
     #[test]
     fn event_exactly_at_horizon_is_processed() {
         let mut w = world(false);
-        let mut e = Engine::new();
-        e.queue_mut().schedule(SimTime::from_ticks(50), 9);
-        e.run_until(&mut w, SimTime::from_ticks(50));
+        let mut e = engine();
+        e.queue_mut().schedule_keyed(t(50), 0, 9);
+        e.run_until(&mut w, t(50));
         assert_eq!(w.fired, vec![9]);
     }
 
     #[test]
     fn event_budget_guard() {
         let mut w = world(true);
-        let mut e = Engine::new().with_event_budget(5);
-        e.queue_mut().schedule(SimTime::ZERO, 0);
-        let outcome = e.run_to_completion(&mut w);
+        let mut e = engine().with_event_budget(5);
+        e.queue_mut().schedule_keyed(SimTime::ZERO, 0, 0);
+        let outcome = e.run_until(&mut w, SimTime::MAX);
         assert_eq!(outcome, RunOutcome::EventBudgetExhausted);
         assert_eq!(w.fired.len(), 5);
-    }
-
-    #[test]
-    fn finish_called_on_drain() {
-        let mut w = world(false);
-        let mut e = Engine::new();
-        e.queue_mut().schedule(SimTime::from_ticks(3), 1);
-        e.run_to_completion(&mut w);
-        assert_eq!(w.finished_at, Some(SimTime::from_ticks(3)));
     }
 
     #[test]
     fn recycled_queue_runs_identically() {
         let run = |mut e: Engine<u64>| -> (Vec<u64>, EventQueue<u64>) {
             let mut w = world(false);
-            e.queue_mut().schedule(SimTime::from_ticks(5), 1);
-            e.queue_mut().schedule(SimTime::from_ticks(2), 0);
-            e.run_until(&mut w, SimTime::from_ticks(100));
+            e.queue_mut().schedule_keyed(t(5), 0, 1);
+            e.queue_mut().schedule_keyed(t(2), 1, 0);
+            e.run_until(&mut w, t(100));
             (w.fired, e.into_queue())
         };
-        let (fresh, q) = run(Engine::new());
-        let mut q = q;
+        let (fresh, mut q) = run(engine());
         q.reset();
         let (recycled, _) = run(Engine::from_queue(q));
         assert_eq!(fresh, recycled);
@@ -304,20 +257,14 @@ mod tests {
             }
         }
         let mut w = Spy { seen: vec![] };
-        let mut e = Engine::new();
-        // Two same-timestamp events: seq must break the tie in FIFO order.
-        e.queue_mut().schedule(SimTime::from_ticks(7), 10);
-        e.queue_mut().schedule(SimTime::from_ticks(7), 11);
-        e.queue_mut().schedule(SimTime::from_ticks(2), 12);
-        e.run_to_completion(&mut w);
-        assert_eq!(
-            w.seen,
-            vec![
-                (SimTime::from_ticks(2), 2, 12),
-                (SimTime::from_ticks(7), 0, 10),
-                (SimTime::from_ticks(7), 1, 11),
-            ]
-        );
+        let mut e = engine();
+        // Two same-timestamp events: seq breaks the tie, not insertion
+        // order.
+        e.queue_mut().schedule_keyed(t(7), 4, 10);
+        e.queue_mut().schedule_keyed(t(7), 3, 11);
+        e.queue_mut().schedule_keyed(t(2), 5, 12);
+        e.run_until(&mut w, SimTime::MAX);
+        assert_eq!(w.seen, vec![(t(2), 5, 12), (t(7), 3, 11), (t(7), 4, 10)]);
     }
 
     /// Events a world delivers from outside the queue count against the
@@ -333,16 +280,16 @@ mod tests {
             type Event = u64;
             fn handle(&mut self, now: SimTime, ev: u64, q: &mut EventQueue<u64>) {
                 self.handled += 1;
-                q.schedule(now + SimTime::from_ticks(1), ev + 1);
+                q.schedule_keyed(now + t(1), ev + 1, ev + 1);
             }
             fn observe(&mut self, _at: SimTime, _seq: u64, _ev: &u64, budget: u64) -> u64 {
                 budget.min(2)
             }
         }
         let mut w = Holder { handled: 0 };
-        let mut e = Engine::new().with_event_budget(7);
-        e.queue_mut().schedule(SimTime::ZERO, 0);
-        let outcome = e.run_to_completion(&mut w);
+        let mut e = engine().with_event_budget(7);
+        e.queue_mut().schedule_keyed(SimTime::ZERO, 0, 0);
+        let outcome = e.run_until(&mut w, SimTime::MAX);
         assert_eq!(outcome, RunOutcome::EventBudgetExhausted);
         // 2 held + head, 2 held + head, then 1 held exhausts the budget.
         assert_eq!((e.processed(), w.handled), (7, 2));
@@ -352,10 +299,10 @@ mod tests {
     #[test]
     fn empty_queue_finishes_immediately() {
         let mut w = world(false);
-        let mut e: Engine<u64> = Engine::new();
-        let outcome = e.run_until(&mut w, SimTime::from_ticks(10));
+        let mut e = engine();
+        let outcome = e.run_until(&mut w, t(10));
         assert_eq!(outcome, RunOutcome::Drained);
         assert!(w.fired.is_empty());
-        assert_eq!(w.finished_at, Some(SimTime::ZERO));
+        assert_eq!(e.now, SimTime::ZERO);
     }
 }

@@ -9,20 +9,21 @@
 //! there purely as a sequential-semantics DES engine, so this kernel is a
 //! faithful substitute: a time-ordered event queue, logical processes, and a
 //! seeded random-number layer. Unlike Parsec, every run here is a pure
-//! function of `(model, seed)` — ties in event time are broken by insertion
-//! sequence, so results are bit-for-bit reproducible.
+//! function of `(model, seed)`: the model stamps every event with an
+//! `(at, seq)` key, the queue delivers in key order, and ties in event
+//! time therefore break the same way on every run, so results are
+//! bit-for-bit reproducible.
 //!
 //! ## Architecture
 //!
 //! * [`SimTime`] — discrete simulation clock (integer ticks).
-//! * [`EventQueue`] — adaptive two-tier ladder future-event list with
-//!   deterministic FIFO tie-breaking: O(1) amortized schedule/pop via
-//!   time buckets, a far-future overflow tier and self-tuning bucket
-//!   geometry, over a payload slab so every tier moves 32-byte
-//!   `(key, slot)` entries. Below the engage threshold, or when
-//!   [`QueueDiscipline::Heap`] forces it, it is a packed-key binary
-//!   heap. [`HeapQueue`] is the plain binary-heap reference with the
-//!   identical delivery order.
+//! * [`EventQueue`] — adaptive two-tier ladder future-event list that
+//!   delivers in ascending caller-supplied `(at, seq)` key order: O(1)
+//!   amortized schedule/pop via time buckets, a far-future overflow tier
+//!   and self-tuning bucket geometry, over a payload slab so every tier
+//!   moves 32-byte `(key, slot)` entries. Below the engage threshold, or
+//!   when [`QueueDiscipline::Heap`] forces it, it is a packed-key binary
+//!   heap with the identical delivery order.
 //! * [`Engine`] / [`World`] — the driver loop: the engine pops the earliest
 //!   event and hands it to the model, which may schedule more events. A
 //!   model may hold events nothing else observes outside the queue and
@@ -42,8 +43,9 @@
 //! ```
 //! use gridscale_desim::{Engine, EventQueue, SimTime, World};
 //!
-//! /// Counts ping-pong exchanges until time 100.
-//! struct PingPong { pings: u64 }
+//! /// Counts ping-pong exchanges until time 100. Each event it schedules
+//! /// takes the next value of `seq` as its tie-break key.
+//! struct PingPong { pings: u64, seq: u64 }
 //!
 //! #[derive(Debug, Clone, PartialEq, Eq)]
 //! enum Ev { Ping, Pong }
@@ -51,19 +53,21 @@
 //! impl World for PingPong {
 //!     type Event = Ev;
 //!     fn handle(&mut self, now: SimTime, ev: Ev, q: &mut EventQueue<Ev>) {
-//!         match ev {
+//!         let (delay, next) = match ev {
 //!             Ev::Ping => {
 //!                 self.pings += 1;
-//!                 q.schedule(now + SimTime::from_ticks(7), Ev::Pong);
+//!                 (7, Ev::Pong)
 //!             }
-//!             Ev::Pong => q.schedule(now + SimTime::from_ticks(3), Ev::Ping),
-//!         }
+//!             Ev::Pong => (3, Ev::Ping),
+//!         };
+//!         self.seq += 1;
+//!         q.schedule_keyed(now + SimTime::from_ticks(delay), self.seq, next);
 //!     }
 //! }
 //!
-//! let mut world = PingPong { pings: 0 };
-//! let mut engine = Engine::new();
-//! engine.queue_mut().schedule(SimTime::ZERO, Ev::Ping);
+//! let mut world = PingPong { pings: 0, seq: 0 };
+//! let mut engine = Engine::from_queue(EventQueue::new());
+//! engine.queue_mut().schedule_keyed(SimTime::ZERO, 0, Ev::Ping);
 //! // Pings fire at t = 0, 10, 20, …, 100 — eleven in total.
 //! engine.run_until(&mut world, SimTime::from_ticks(100));
 //! assert_eq!(world.pings, 11);
@@ -89,6 +93,6 @@ pub mod stats;
 mod time;
 
 pub use engine::{Engine, RunOutcome, World};
-pub use queue::{EventQueue, HeapQueue, QueueDiscipline, QueueTelemetry, ScheduledEvent};
+pub use queue::{EventQueue, QueueDiscipline, QueueTelemetry, ScheduledEvent};
 pub use rng::{cases, SimRng};
 pub use time::SimTime;

@@ -1,37 +1,35 @@
 //! The future-event list.
 //!
-//! Two implementations share one total delivery order:
+//! [`EventQueue`] is an adaptive two-tier **ladder queue** (bucketed
+//! near-future tier + unsorted far-future overflow) with O(1) amortized
+//! `schedule_keyed`/`pop` and automatic bucket-width adaptation.
+//! Payloads wait in a slab, so every tier moves 32-byte `(key, slot)`
+//! entries whatever the payload's size.
 //!
-//! * [`EventQueue`] — the default: an adaptive two-tier **ladder queue**
-//!   (bucketed near-future tier + unsorted far-future overflow) with O(1)
-//!   amortized `schedule`/`pop` and automatic bucket-width adaptation.
-//!   Payloads wait in a slab, so every tier moves 32-byte
-//!   `(key, slot)` entries whatever the payload's size.
-//! * [`HeapQueue`] — the plain packed-key binary heap (O(log n) sift per
-//!   operation). It is the reference implementation the differential
-//!   tests measure against.
-//!
-//! Both deliver events in ascending `(at, seq)` order — nondecreasing
-//! time, FIFO among same-tick ties — so swapping one for the other can
-//! never change a simulation result. The ladder keeps that guarantee
-//! structurally: every routing decision partitions events into *disjoint
-//! key ranges* (front ⊂ [0, front_bound) ∪ buckets ∪ overflow ⊂
-//! [window_end, ∞)), and every comparison at a range boundary uses the
-//! full packed key, so bucket geometry (a pure performance knob) is
-//! invisible to delivery order.
+//! The caller owns the order: every event carries a caller-supplied
+//! `(at, seq)` key, and the queue delivers in ascending key order —
+//! nondecreasing time, ascending `seq` among same-tick ties. Below the
+//! engage threshold, or under [`QueueDiscipline::Heap`], the queue is a
+//! plain packed-key binary heap, so the discipline can never change a
+//! simulation result. The ladder keeps that order structurally: every
+//! routing decision partitions events into *disjoint key ranges* (front
+//! ⊂ [0, front_bound) ∪ buckets ∪ overflow ⊂ [window_end, ∞)), and every
+//! comparison at a range boundary uses the full packed key, so bucket
+//! geometry (a pure performance knob) is invisible to delivery order.
+//! The tests check it against a binary-heap oracle.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// An event together with its delivery time and a tie-breaking sequence
-/// number assigned at scheduling time.
+/// An event together with its delivery time and the tie-breaking
+/// sequence number it was scheduled under.
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<E> {
     /// Simulated delivery time.
     pub at: SimTime,
-    /// Monotonic insertion sequence; earlier-scheduled events at the same
-    /// tick are delivered first.
+    /// The caller-supplied tie-break key; same-tick events are delivered
+    /// in ascending `seq`.
     pub seq: u64,
     /// The model-defined event payload.
     pub event: E,
@@ -48,19 +46,18 @@ impl<E> ScheduledEvent<E> {
     }
 }
 
-/// A value ordered by `(at, seq)` packed into one `u128`, so hot
-/// comparisons (heap sift, bucket sort, range routing) compare a single
-/// integer instead of a lexicographic tuple. The value is the payload
-/// itself in [`HeapQueue`] and the payload's slab slot in [`EventQueue`],
-/// whose `Entry<usize>` is 32 bytes (`u128` is 16-byte aligned).
+/// A payload's slab slot ordered by `(at, seq)` packed into one `u128`,
+/// so hot comparisons (heap sift, bucket sort, range routing) compare a
+/// single integer instead of a lexicographic tuple. 32 bytes (`u128` is
+/// 16-byte aligned).
 ///
 /// `key = (at << 64) | seq`: because both halves are unsigned and occupy
 /// disjoint bit ranges, numeric order on `key` equals lexicographic order
-/// on `(at, seq)`. Keys are unique (`seq` is monotonic), so the order is
-/// total and unstable sorts are safe.
-struct Entry<V> {
+/// on `(at, seq)`. The caller keeps keys unique, so the order is total
+/// and unstable sorts are safe.
+struct Entry {
     key: u128,
-    val: V,
+    slot: usize,
 }
 
 #[inline]
@@ -73,20 +70,20 @@ fn unpack_at(key: u128) -> SimTime {
     SimTime::from_ticks((key >> 64) as u64)
 }
 
-impl<V> PartialEq for Entry<V> {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl<V> Eq for Entry<V> {}
+impl Eq for Entry {}
 
-impl<V> PartialOrd for Entry<V> {
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<V> Ord for Entry<V> {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: smallest key is the heap maximum.
         other.key.cmp(&self.key)
@@ -111,11 +108,6 @@ pub enum QueueDiscipline {
 /// report the retained warm-start hint even right after a reset.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueueTelemetry {
-    /// True while the bucketed near tier is live.
-    pub engaged: bool,
-    /// True when [`QueueDiscipline::Heap`] routes every event to the
-    /// heap tier.
-    pub heap_fallback: bool,
     /// Times the ladder engaged (population crossed the threshold).
     pub engagements: u64,
     /// Geometry recomputations that changed the bucket width or count.
@@ -158,10 +150,10 @@ fn below(key: u128, bound: u128) -> bool {
 
 /// A deterministic future-event list (adaptive ladder queue).
 ///
-/// Events are delivered in nondecreasing time order; events scheduled for
-/// the same tick are delivered in the order they were scheduled (FIFO).
-/// This total order is what makes every simulation run reproducible, and
-/// it is *identical* to [`HeapQueue`]'s order by construction.
+/// Events are delivered in ascending caller-supplied `(at, seq)` key
+/// order, whatever order they were scheduled in. This total order is
+/// what makes every simulation run reproducible; a plain binary heap
+/// delivers the same order.
 ///
 /// # Structure
 ///
@@ -173,13 +165,14 @@ fn below(key: u128, bound: u128) -> bool {
 /// slab      ── payloads, at the slot each tier entry names
 /// ```
 ///
-/// `schedule` writes the payload into a free slab slot once and routes
-/// its `(key, slot)` entry by key range: O(1) push for bucket/overflow
-/// hits, O(log f) for the (small) front heap. `pop` takes the smaller of
-/// `front`'s top and `active`'s tail and moves the payload out of its
-/// slot; when both drain it activates the next non-empty bucket (one
-/// `sort_unstable` per bucket) or rebuilds the window from the overflow,
-/// re-deriving the bucket width from the observed span/population.
+/// `schedule_keyed` writes the payload into a free slab slot once and
+/// routes its `(key, slot)` entry by key range: O(1) push for
+/// bucket/overflow hits, O(log f) for the (small) front heap. `pop`
+/// takes the smaller of `front`'s top and `active`'s tail and moves the
+/// payload out of its slot; when both drain it activates the next
+/// non-empty bucket (one `sort_unstable` per bucket) or rebuilds the
+/// window from the overflow, re-deriving the bucket width from the
+/// observed span/population.
 ///
 /// Skew needs no special case: when a far outlier stretches the width so
 /// the active bucket swallows the near-term traffic, that traffic rides
@@ -187,14 +180,12 @@ fn below(key: u128, bound: u128) -> bool {
 /// pop.
 pub struct EventQueue<E> {
     // --- counters ---
-    next_seq: u64,
-    scheduled_total: u64,
     peak_len: usize,
     len: usize,
 
     // --- payloads ---
     /// Every pending payload, at its entry's slot; `None` marks a free
-    /// slot. Emptied by `clear` and `reset`.
+    /// slot. Emptied by `reset`.
     slab: Vec<Option<E>>,
     /// Free slots, reused last-freed first (the warmest in cache).
     free: Vec<usize>,
@@ -202,14 +193,14 @@ pub struct EventQueue<E> {
     // --- tiers ---
     /// Min-heap of everything due before `front_bound`; in heap mode (not
     /// engaged, or forced) it simply holds every event.
-    front: BinaryHeap<Entry<usize>>,
+    front: BinaryHeap<Entry>,
     /// The activated bucket, sorted descending by key (pop from the back).
-    active: Vec<Entry<usize>>,
+    active: Vec<Entry>,
     /// Near-tier buckets; bucket `i` covers
     /// `[window_start + i*width, window_start + (i+1)*width)`.
-    buckets: Vec<Vec<Entry<usize>>>,
+    buckets: Vec<Vec<Entry>>,
     /// Far tier: unsorted events with keys ≥ `window_end_bound`.
-    overflow: Vec<Entry<usize>>,
+    overflow: Vec<Entry>,
 
     // --- geometry ---
     /// First key *not* routed to the front heap (exclusive bound).
@@ -239,19 +230,12 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue with the default (adaptive) discipline.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty queue with pre-reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            next_seq: 0,
-            scheduled_total: 0,
             peak_len: 0,
             len: 0,
-            slab: Vec::with_capacity(cap),
+            slab: Vec::new(),
             free: Vec::new(),
-            front: BinaryHeap::with_capacity(cap),
+            front: BinaryHeap::new(),
             active: Vec::new(),
             buckets: Vec::new(),
             overflow: Vec::new(),
@@ -281,57 +265,16 @@ impl<E> EventQueue<E> {
         self.discipline = discipline;
     }
 
-    /// The current backing discipline.
-    pub fn discipline(&self) -> QueueDiscipline {
-        self.discipline
-    }
-
-    /// Schedules `event` for delivery at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.insert(pack(at, seq), event);
-    }
-
-    /// Schedules `event` with a *caller-supplied* tie-break sequence
-    /// instead of the internal monotonic counter.
+    /// Schedules `event` for delivery at absolute time `at`, ordered
+    /// among same-tick events by the caller-supplied `seq`.
     ///
-    /// This is the primitive behind sharded simulation: when `seq` is a
-    /// pure function of the scheduling site (e.g. packed
-    /// `(lane, per-lane counter)`), the total `(at, seq)` delivery order
-    /// no longer depends on global insertion order, so independently
-    /// scheduled partitions reproduce the sequential order exactly.
-    ///
-    /// The caller must keep `(at, seq)` pairs unique for the order to be
-    /// total; a run should use either keyed or unkeyed scheduling, never
-    /// both (the internal counter is not advanced here).
+    /// The key is the only ordering contract: when `seq` is a pure
+    /// function of the scheduling site (the simulator packs
+    /// `(lane, per-lane counter)`), the delivery order does not depend on
+    /// insertion order, so independently scheduled partitions reproduce
+    /// the sequential order exactly. The caller must keep `(at, seq)`
+    /// pairs unique for the order to be total.
     pub fn schedule_keyed(&mut self, at: SimTime, seq: u64, event: E) {
-        debug_assert_eq!(
-            self.next_seq, 0,
-            "keyed and unkeyed scheduling must not mix within one run"
-        );
-        self.insert(pack(at, seq), event);
-    }
-
-    /// Schedules a batch of keyed events (see
-    /// [`EventQueue::schedule_keyed`]), reserving capacity up front.
-    pub fn schedule_batch_keyed<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (SimTime, u64, E)>,
-    {
-        let events = events.into_iter();
-        let (lower, _) = events.size_hint();
-        self.reserve(lower);
-        for (at, seq, event) in events {
-            self.schedule_keyed(at, seq, event);
-        }
-    }
-
-    /// Common insert path: counts, parks the payload in a slab slot, then
-    /// routes the slim entry by mode.
-    #[inline]
-    fn insert(&mut self, key: u128, event: E) {
-        self.scheduled_total += 1;
         self.len += 1;
         if self.len > self.peak_len {
             self.peak_len = self.len;
@@ -346,7 +289,10 @@ impl<E> EventQueue<E> {
                 self.slab.len() - 1
             }
         };
-        let entry = Entry { key, val: slot };
+        let entry = Entry {
+            key: pack(at, seq),
+            slot,
+        };
         if self.engaged {
             self.route(entry);
         } else {
@@ -354,21 +300,6 @@ impl<E> EventQueue<E> {
             if self.discipline == QueueDiscipline::Adaptive && self.front.len() >= ENGAGE_LEN {
                 self.engage();
             }
-        }
-    }
-
-    /// Schedules a batch of events, reserving capacity for all of them up
-    /// front. Delivery order within the batch follows iteration order (the
-    /// usual FIFO tie-break), exactly as if each was scheduled one by one.
-    pub fn schedule_batch<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (SimTime, E)>,
-    {
-        let events = events.into_iter();
-        let (lower, _) = events.size_hint();
-        self.reserve(lower);
-        for (at, event) in events {
-            self.schedule(at, event);
         }
     }
 
@@ -386,8 +317,8 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        // The settled invariant (kept by `schedule`/`pop`/`engage`): if
-        // the queue is non-empty, its minimum is `front`'s top or
+        // The settled invariant (kept by `schedule_keyed`/`pop`/`engage`):
+        // if the queue is non-empty, its minimum is `front`'s top or
         // `active`'s tail. Both tiers hold keys below `front_bound`, so
         // one full-key comparison picks the minimum.
         let from_active = match (self.front.peek(), self.active.last()) {
@@ -405,14 +336,14 @@ impl<E> EventQueue<E> {
         if self.engaged {
             self.settle();
         }
-        let event = self.slab[entry.val].take()?;
-        self.free.push(entry.val);
+        let event = self.slab[entry.slot].take()?;
+        self.free.push(entry.slot);
         Some(ScheduledEvent::from_key(entry.key, event))
     }
 
     /// The earliest pending entry (see the settled invariant in `pop`).
     #[inline]
-    fn head(&self) -> Option<&Entry<usize>> {
+    fn head(&self) -> Option<&Entry> {
         match (self.front.peek(), self.active.last()) {
             (Some(f), Some(a)) => Some(if a.key < f.key { a } else { f }),
             (f, a) => f.or(a),
@@ -429,7 +360,7 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::pop`] would return next.
     pub fn peek(&self) -> Option<(SimTime, u64, &E)> {
         let e = self.head()?;
-        let event = self.slab[e.val].as_ref()?;
+        let event = self.slab[e.slot].as_ref()?;
         Some((unpack_at(e.key), e.key as u64, event))
     }
 
@@ -443,14 +374,8 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
     /// The largest number of simultaneously pending events seen so far —
-    /// the capacity a future run of the same model actually needs (a much
-    /// tighter pre-reserve hint than [`EventQueue::scheduled_total`]).
+    /// the capacity a future run of the same model actually needs.
     /// Survives [`EventQueue::reset`] so recycled queues keep the hint.
     pub fn peak_len(&self) -> usize {
         self.peak_len
@@ -459,33 +384,18 @@ impl<E> EventQueue<E> {
     /// Telemetry counters for the current run, plus the current geometry.
     pub fn telemetry(&self) -> QueueTelemetry {
         QueueTelemetry {
-            engaged: self.engaged,
-            heap_fallback: self.discipline == QueueDiscipline::Heap,
             bucket_count: self.buckets.len(),
             bucket_width: self.width,
             ..self.telemetry
         }
     }
 
-    /// Drops all pending events and restarts the tie-break sequence, so a
-    /// cleared queue is *ordering-equivalent* to a fresh one: the next
-    /// same-tick burst gets the same FIFO order either way. Lifetime
-    /// counters ([`EventQueue::scheduled_total`], telemetry) are retained;
-    /// use [`EventQueue::reset`] to zero those too.
-    pub fn clear(&mut self) {
-        self.drop_pending();
-        // Safe to rewind with nothing pending; keeping it advanced (as
-        // this method once did) would break same-tick FIFO equivalence
-        // with a fresh queue.
-        self.next_seq = 0;
-    }
-
-    /// Empties the queue and resets the sequence, schedule, and telemetry
-    /// counters, retaining allocations up to a *bounded* warm-start
-    /// footprint plus the geometry hints ([`EventQueue::peak_len`], the
-    /// bucket width). This is the recycle entry point: a reset queue
-    /// behaves exactly like a freshly constructed one — only faster,
-    /// because the next run starts with last run's capacity and geometry.
+    /// Empties the queue and zeroes the telemetry counters, retaining
+    /// allocations up to a *bounded* warm-start footprint plus the
+    /// geometry hints ([`EventQueue::peak_len`], the bucket width). This
+    /// is the recycle entry point: a reset queue behaves exactly like a
+    /// freshly constructed one — only faster, because the next run
+    /// starts with last run's capacity and geometry.
     ///
     /// Bounded retention: an overflow-tier spill redistributes the far
     /// tier across the buckets, so after a spill-heavy run the bucket and
@@ -499,11 +409,16 @@ impl<E> EventQueue<E> {
     /// hint, which restores capacity in the slab and in the one tier that
     /// absorbs the next run's scheduling burst.
     pub fn reset(&mut self) {
-        self.drop_pending();
-        self.next_seq = 0;
-        self.scheduled_total = 0;
+        self.front.clear();
+        self.active.clear();
+        self.overflow.clear();
+        self.slab.clear();
+        self.free.clear();
+        self.len = 0;
+        self.disengage();
         self.telemetry = QueueTelemetry::default();
         for b in &mut self.buckets {
+            b.clear();
             b.shrink_to(RESET_BUCKET_RETAIN);
         }
         self.active.shrink_to(RESET_BUCKET_RETAIN);
@@ -511,33 +426,6 @@ impl<E> EventQueue<E> {
         self.front.shrink_to(ENGAGE_LEN);
         self.slab.shrink_to(ENGAGE_LEN);
         self.free.shrink_to(ENGAGE_LEN);
-    }
-
-    /// Total entry capacity currently retained across every tier and the
-    /// slab — the queue's idle memory footprint in events. Exposed so
-    /// pooling layers (and the bounded-retention test) can observe what
-    /// `reset` keeps.
-    pub fn retained_capacity(&self) -> usize {
-        self.slab.capacity()
-            + self.front.capacity()
-            + self.active.capacity()
-            + self.overflow.capacity()
-            + self.buckets.iter().map(Vec::capacity).sum::<usize>()
-    }
-
-    /// Drops pending events from every tier and their payloads from the
-    /// slab, disengaging the ladder but keeping allocations and geometry.
-    fn drop_pending(&mut self) {
-        self.front.clear();
-        self.active.clear();
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.overflow.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.len = 0;
-        self.disengage();
     }
 
     /// Leaves engaged mode with empty tiers, retaining `width` (and the
@@ -555,7 +443,7 @@ impl<E> EventQueue<E> {
     /// and every bucket index reachable here is ≥ `cursor`, so no event
     /// can land behind the drain point.
     #[inline]
-    fn route(&mut self, entry: Entry<usize>) {
+    fn route(&mut self, entry: Entry) {
         if below(entry.key, self.front_bound) {
             self.telemetry.front_inserts += 1;
             self.front.push(entry);
@@ -567,7 +455,7 @@ impl<E> EventQueue<E> {
     }
 
     #[inline]
-    fn push_bucket(&mut self, entry: Entry<usize>) {
+    fn push_bucket(&mut self, entry: Entry) {
         let at = unpack_at(entry.key).ticks();
         let idx = (((at - self.window_start) / self.width) as usize).min(self.buckets.len() - 1);
         let bucket = &mut self.buckets[idx];
@@ -599,7 +487,7 @@ impl<E> EventQueue<E> {
     /// across [`EventQueue::reset`]) overrides the width; events it fails
     /// to cover spill to the overflow and are re-windowed span-based on
     /// the next rebuild, so a stale hint self-heals after one extra pass.
-    fn build_window(&mut self, events: Vec<Entry<usize>>, width_hint: u64) {
+    fn build_window(&mut self, events: Vec<Entry>, width_hint: u64) {
         debug_assert!(!events.is_empty());
         let mut min_key = u128::MAX;
         let mut max_at = 0u64;
@@ -692,140 +580,55 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The packed-key binary-heap future-event list — `EventQueue`'s
-/// pre-ladder implementation, kept as the reference oracle.
-///
-/// Delivery order is exactly [`EventQueue`]'s: ascending `(at, seq)`.
-/// The seeded differential properties replay random schedules against
-/// both and assert identical `(at, seq, event)` streams.
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    scheduled_total: u64,
-    peak_len: usize,
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty queue with pre-reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        HeapQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-            scheduled_total: 0,
-            peak_len: 0,
-        }
-    }
-
-    /// Schedules `event` for delivery at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.heap.push(Entry {
-            key: pack(at, seq),
-            val: event,
-        });
-        if self.heap.len() > self.peak_len {
-            self.peak_len = self.heap.len();
-        }
-    }
-
-    /// Schedules a batch of events (iteration order = FIFO tie-break).
-    pub fn schedule_batch<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (SimTime, E)>,
-    {
-        let events = events.into_iter();
-        let (lower, _) = events.size_hint();
-        self.heap.reserve(lower);
-        for (at, event) in events {
-            self.schedule(at, event);
-        }
-    }
-
-    /// Schedules with a caller-supplied tie-break sequence (reference
-    /// counterpart of [`EventQueue::schedule_keyed`]; same uniqueness and
-    /// no-mixing contract).
-    pub fn schedule_keyed(&mut self, at: SimTime, seq: u64, event: E) {
-        debug_assert_eq!(
-            self.next_seq, 0,
-            "keyed and unkeyed scheduling must not mix within one run"
-        );
-        self.scheduled_total += 1;
-        self.heap.push(Entry {
-            key: pack(at, seq),
-            val: event,
-        });
-        if self.heap.len() > self.peak_len {
-            self.peak_len = self.heap.len();
-        }
-    }
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        self.heap
-            .pop()
-            .map(|e| ScheduledEvent::from_key(e.key, e.val))
-    }
-
-    /// The delivery time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| unpack_at(e.key))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Largest number of simultaneously pending events seen so far.
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    /// Drops all pending events and restarts the tie-break sequence
-    /// (ordering-equivalent to a fresh queue; same contract as
-    /// [`EventQueue::clear`]).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
-    }
-
-    /// Empties the queue and resets all counters, retaining allocations.
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
-        self.scheduled_total = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{cases, SimRng};
+    use std::cmp::Reverse;
+    use std::fmt::Debug;
 
     fn t(x: u64) -> SimTime {
         SimTime::from_ticks(x)
+    }
+
+    /// The plain binary-heap future-event list: the oracle the ladder's
+    /// delivery order is checked against. Keyed like the queue, and
+    /// ordered by `Reverse` on the raw key rather than by `Entry`'s `Ord`.
+    struct HeapQueue<E> {
+        heap: BinaryHeap<Reverse<(u128, usize)>>,
+        payloads: Vec<Option<E>>,
+    }
+
+    impl<E> HeapQueue<E> {
+        fn new() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+                payloads: Vec::new(),
+            }
+        }
+
+        fn schedule_keyed(&mut self, at: SimTime, seq: u64, event: E) {
+            self.heap
+                .push(Reverse((pack(at, seq), self.payloads.len())));
+            self.payloads.push(Some(event));
+        }
+
+        fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+            let Reverse((key, i)) = self.heap.pop()?;
+            Some(ScheduledEvent::from_key(key, self.payloads[i].take()?))
+        }
+    }
+
+    impl<E> EventQueue<E> {
+        /// Total entry capacity retained across every tier and the slab —
+        /// the queue's idle memory footprint in events.
+        fn retained_capacity(&self) -> usize {
+            self.slab.capacity()
+                + self.front.capacity()
+                + self.active.capacity()
+                + self.overflow.capacity()
+                + self.buckets.iter().map(Vec::capacity).sum::<usize>()
+        }
     }
 
     /// Drains a queue into `(at, seq, event)` tuples.
@@ -833,38 +636,41 @@ mod tests {
         std::iter::from_fn(|| q.pop().map(|e| (e.at, e.seq, e.event))).collect()
     }
 
+    /// Drains the ladder and the oracle side by side, asserting identical
+    /// `(at, seq, event)` streams.
+    fn assert_matches_oracle<E: PartialEq + Debug>(q: &mut EventQueue<E>, h: &mut HeapQueue<E>) {
+        loop {
+            match (q.pop(), h.pop()) {
+                (None, None) => break,
+                (Some(a), Some(b)) => {
+                    assert_eq!((a.at, a.seq, a.event), (b.at, b.seq, b.event));
+                }
+                (a, b) => panic!("queues diverged in length: ladder={a:?} heap={b:?}"),
+            }
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(t(30), "c");
-        q.schedule(t(10), "a");
-        q.schedule(t(20), "b");
+        q.schedule_keyed(t(30), 0, "c");
+        q.schedule_keyed(t(10), 1, "a");
+        q.schedule_keyed(t(20), 2, "b");
         assert_eq!(q.pop().unwrap().event, "a");
         assert_eq!(q.pop().unwrap().event, "b");
         assert_eq!(q.pop().unwrap().event, "c");
         assert!(q.pop().is_none());
     }
 
-    #[test]
-    fn ties_are_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.schedule(t(5), i);
-        }
-        for i in 0..100 {
-            let ev = q.pop().unwrap();
-            assert_eq!(ev.event, i);
-            assert_eq!(ev.at, t(5));
-        }
-    }
-
+    /// Time comes first; same-tick events follow their keys, not the
+    /// order they were scheduled in.
     #[test]
     fn interleaved_ties_and_times() {
         let mut q = EventQueue::new();
-        q.schedule(t(2), "x1");
-        q.schedule(t(1), "a");
-        q.schedule(t(2), "x2");
-        q.schedule(t(1), "b");
+        q.schedule_keyed(t(2), 1, "x2");
+        q.schedule_keyed(t(1), 0, "a");
+        q.schedule_keyed(t(2), 0, "x1");
+        q.schedule_keyed(t(1), 1, "b");
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
         assert_eq!(order, vec!["a", "b", "x1", "x2"]);
     }
@@ -872,7 +678,7 @@ mod tests {
     #[test]
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
-        q.schedule(t(7), ());
+        q.schedule_keyed(t(7), 0, ());
         assert_eq!(q.peek_time(), Some(t(7)));
         assert_eq!(q.len(), 1);
         q.pop();
@@ -880,87 +686,44 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_clear() {
-        let mut q = EventQueue::with_capacity(4);
-        assert!(q.is_empty());
-        q.schedule(t(1), 1u8);
-        q.schedule(t(2), 2u8);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 2, "clear keeps the lifetime counter");
-    }
-
-    /// Satellite fix: a cleared queue must tie-break exactly like a fresh
-    /// one — `clear()` rewinds the sequence counter now that nothing is
-    /// pending, so same-tick FIFO streams are identical.
-    #[test]
-    fn clear_is_ordering_equivalent_to_fresh() {
-        let mut cleared = EventQueue::new();
-        for i in 0..40 {
-            cleared.schedule(t(i), "warm");
-        }
-        cleared.pop();
-        cleared.clear();
-        let mut fresh = EventQueue::new();
-        let burst = [(t(5), "a"), (t(5), "b"), (t(3), "c"), (t(5), "d")];
-        cleared.schedule_batch(burst.iter().copied());
-        fresh.schedule_batch(burst.iter().copied());
-        assert_eq!(drain(&mut cleared), drain(&mut fresh));
-        assert_eq!(cleared.scheduled_total(), 44, "lifetime counter retained");
-    }
-
-    #[test]
     fn packed_key_preserves_extreme_times_and_seqs() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::MAX, "last");
-        q.schedule(t(0), "first");
-        q.schedule(t(u64::MAX - 1), "penultimate");
+        q.schedule_keyed(SimTime::MAX, u64::MAX, "last");
+        q.schedule_keyed(t(0), 0, "first");
+        q.schedule_keyed(t(u64::MAX - 1), u64::MAX, "penultimate");
         let a = q.pop().unwrap();
-        assert_eq!((a.at, a.event), (t(0), "first"));
+        assert_eq!((a.at, a.seq, a.event), (t(0), 0, "first"));
         let b = q.pop().unwrap();
-        assert_eq!((b.at, b.event), (t(u64::MAX - 1), "penultimate"));
+        assert_eq!(
+            (b.at, b.seq, b.event),
+            (t(u64::MAX - 1), u64::MAX, "penultimate")
+        );
         let c = q.pop().unwrap();
-        assert_eq!((c.at, c.event), (SimTime::MAX, "last"));
+        assert_eq!((c.at, c.seq, c.event), (SimTime::MAX, u64::MAX, "last"));
     }
 
     #[test]
     fn pop_reports_sequence_numbers() {
         let mut q = EventQueue::new();
-        q.schedule(t(9), "x");
-        q.schedule(t(4), "y");
-        assert_eq!(q.pop().unwrap().seq, 1, "y was scheduled second");
-        assert_eq!(q.pop().unwrap().seq, 0);
-    }
-
-    #[test]
-    fn schedule_batch_matches_individual_schedules() {
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        let events = [(t(5), "e5"), (t(1), "e1"), (t(5), "e5b")];
-        for &(at, ev) in &events {
-            a.schedule(at, ev);
-        }
-        b.schedule_batch(events.iter().copied());
-        assert_eq!(drain(&mut a), drain(&mut b));
-        assert_eq!(b.scheduled_total(), 3);
+        q.schedule_keyed(t(9), 5, "x");
+        q.schedule_keyed(t(4), 3, "y");
+        assert_eq!(q.peek(), Some((t(4), 3, &"y")));
+        assert_eq!(q.pop().unwrap().seq, 3, "y is due first");
+        assert_eq!(q.pop().unwrap().seq, 5);
     }
 
     #[test]
     fn reset_recycles_like_new() {
         let mut q = EventQueue::new();
         for i in 0..50 {
-            q.schedule(t(100 - i), i);
+            q.schedule_keyed(t(100 - i), i, i);
         }
         assert_eq!(q.peak_len(), 50);
         q.pop();
         q.reset();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 0);
         assert_eq!(q.peak_len(), 50, "reset keeps the capacity hint");
-        // Behaves exactly like a fresh queue: seq restarts at zero.
-        q.schedule(t(3), 7u64);
+        q.schedule_keyed(t(3), 0, 7u64);
         let ev = q.pop().unwrap();
         assert_eq!((ev.at, ev.seq, ev.event), (t(3), 0, 7u64));
     }
@@ -969,7 +732,7 @@ mod tests {
     fn reserve_only_grows_capacity() {
         let mut q: EventQueue<u8> = EventQueue::new();
         q.reserve(128);
-        q.schedule(t(1), 1);
+        q.schedule_keyed(t(1), 0, 1);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap().event, 1);
     }
@@ -980,9 +743,9 @@ mod tests {
     fn engaged_queue() -> EventQueue<usize> {
         let mut q = EventQueue::new();
         for i in 0..4 * ENGAGE_LEN {
-            q.schedule(t((i as u64 * 37) % 10_000), i);
+            q.schedule_keyed(t((i as u64 * 37) % 10_000), i as u64, i);
         }
-        assert!(q.telemetry().engaged, "ladder should have engaged");
+        assert!(q.engaged, "ladder should have engaged");
         q
     }
 
@@ -991,22 +754,13 @@ mod tests {
         let mut q = engaged_queue();
         let mut h = HeapQueue::new();
         for i in 0..4 * ENGAGE_LEN {
-            h.schedule(t((i as u64 * 37) % 10_000), i);
+            h.schedule_keyed(t((i as u64 * 37) % 10_000), i as u64, i);
         }
         let tele = q.telemetry();
         assert!(tele.engagements >= 1);
         assert!(tele.bucket_count >= MIN_BUCKETS);
         assert!(tele.bucket_width >= 1);
-        loop {
-            match (q.pop(), h.pop()) {
-                (None, None) => break,
-                (a, b) => {
-                    let a = a.expect("same length");
-                    let b = b.expect("same length");
-                    assert_eq!((a.at, a.seq, a.event), (b.at, b.seq, b.event));
-                }
-            }
-        }
+        assert_matches_oracle(&mut q, &mut h);
     }
 
     /// Hold-model workload: pop one, schedule one in the future. This
@@ -1016,9 +770,10 @@ mod tests {
     fn ladder_hold_model_matches_heap() {
         let mut q = EventQueue::new();
         let mut h = HeapQueue::new();
+        // Every payload is distinct, so it doubles as the key.
         let sched = |q: &mut EventQueue<u64>, h: &mut HeapQueue<u64>, at: u64, ev: u64| {
-            q.schedule(t(at), ev);
-            h.schedule(t(at), ev);
+            q.schedule_keyed(t(at), ev, ev);
+            h.schedule_keyed(t(at), ev, ev);
         };
         for i in 0..600u64 {
             sched(&mut q, &mut h, i * 11 % 4000, i);
@@ -1051,20 +806,20 @@ mod tests {
         assert!(q.telemetry().spills >= 1, "overflow tier never exercised");
     }
 
-    /// Forced heap discipline produces the identical stream (it is the
-    /// reference structure) and reports heap_fallback telemetry.
+    /// Forced heap discipline never engages the ladder and produces the
+    /// identical stream.
     #[test]
     fn heap_discipline_matches_adaptive() {
         let mut a = EventQueue::new();
         let mut b = EventQueue::with_discipline(QueueDiscipline::Heap);
         for i in 0..1000u64 {
             let at = t(i * 7919 % 5000);
-            a.schedule(at, i);
-            b.schedule(at, i);
+            a.schedule_keyed(at, i, i);
+            b.schedule_keyed(at, i, i);
         }
-        assert!(a.telemetry().engaged);
-        assert!(!b.telemetry().engaged);
-        assert!(b.telemetry().heap_fallback);
+        assert!(a.engaged);
+        assert!(!b.engaged);
+        assert_eq!(b.telemetry().engagements, 0);
         assert_eq!(drain(&mut a), drain(&mut b));
     }
 
@@ -1078,28 +833,20 @@ mod tests {
         let mut h = HeapQueue::new();
         // The far outlier goes in first so it is part of the engage-time
         // window build and blows up the bucket width.
-        q.schedule(t(u64::MAX - 1), 0u64);
-        h.schedule(t(u64::MAX - 1), 0u64);
+        q.schedule_keyed(t(u64::MAX - 1), 0, 0u64);
+        h.schedule_keyed(t(u64::MAX - 1), 0, 0u64);
         // Dense near-term traffic: after engagement every one of these
         // routes into the front heap (the active bucket covers a huge
         // span).
         for i in 1..6000u64 {
             let at = t(i % 911);
-            q.schedule(at, i);
-            h.schedule(at, i);
+            q.schedule_keyed(at, i, i);
+            h.schedule_keyed(at, i, i);
         }
-        assert!(q.telemetry().engaged);
-        q.schedule(t(17), 999_999);
-        h.schedule(t(17), 999_999);
-        loop {
-            match (q.pop(), h.pop()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!((a.at, a.seq, a.event), (b.at, b.seq, b.event));
-                }
-                _ => panic!("queues diverged in length"),
-            }
-        }
+        assert!(q.engaged);
+        q.schedule_keyed(t(17), 999_999, 999_999);
+        h.schedule_keyed(t(17), 999_999, 999_999);
+        assert_matches_oracle(&mut q, &mut h);
     }
 
     /// Every tier moves `(key, slot)` entries of 32 bytes, whatever the
@@ -1107,14 +854,14 @@ mod tests {
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn tier_entries_are_32_bytes() {
-        assert_eq!(std::mem::size_of::<Entry<usize>>(), 32);
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
     }
 
     /// Every payload lives in the slab exactly as long as it is pending:
     /// through an engaged, spilling ladder each one pops exactly once,
-    /// under its own key, and `clear`/`reset` drop whatever is left.
+    /// under its own key, and `reset` drops whatever is left.
     #[test]
-    fn slab_payloads_pop_once_and_clear_drops_the_rest() {
+    fn slab_payloads_pop_once_and_reset_drops_the_rest() {
         use std::rc::Rc;
         let n = 4 * ENGAGE_LEN as u64;
         // 32 late payloads go in mid-drain, into recycled slots.
@@ -1139,7 +886,7 @@ mod tests {
         for i in 0..n {
             schedule(&mut q, i);
         }
-        assert!(q.telemetry().engaged);
+        assert!(q.engaged);
         let mut popped = vec![0u32; payloads.len()];
         let (mut late, mut last) = (n, 0u128);
         while let Some(ev) = q.pop() {
@@ -1163,18 +910,13 @@ mod tests {
         for _ in 0..ENGAGE_LEN {
             q.pop();
         }
-        q.clear();
-        assert!(released(), "clear must drop pending payloads");
-        for i in 0..n {
-            schedule(&mut q, i);
-        }
         q.reset();
         assert!(released(), "reset must drop pending payloads");
     }
 
-    /// Satellite: `reset()` after resizes and overflow spills behaves
-    /// exactly like a fresh queue — seq restarts, telemetry counters
-    /// zero, and the bucket geometry survives as a warm-start hint.
+    /// `reset()` after resizes and overflow spills behaves exactly like a
+    /// fresh queue — telemetry counters zero, and the bucket geometry
+    /// survives as a warm-start hint.
     #[test]
     fn reset_after_spill_recycles_like_new() {
         let mut q = engaged_queue();
@@ -1183,7 +925,7 @@ mod tests {
         }
         // Push far-future mass to force at least one overflow spill.
         for i in 0..3 * ENGAGE_LEN {
-            q.schedule(t(1_000_000 + (i as u64 * 97) % 50_000), i);
+            q.schedule_keyed(t(1_000_000 + (i as u64 * 97) % 50_000), i as u64, i);
         }
         while q.pop().is_some() {}
         let before = q.telemetry();
@@ -1194,7 +936,6 @@ mod tests {
         q.reset();
         let after = q.telemetry();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 0);
         assert_eq!(
             (
                 after.engagements,
@@ -1207,21 +948,21 @@ mod tests {
         );
         assert_eq!(after.max_bucket_occupancy, 0);
         assert_eq!(after.bucket_width, hint_width, "geometry hint retained");
-        assert!(!after.engaged);
+        assert!(!q.engaged);
 
         // Replays the exact sequence a fresh queue would see.
         let mut fresh = EventQueue::new();
         for i in 0..3 * ENGAGE_LEN {
             let at = t(i as u64 * 37 % 10_000);
-            q.schedule(at, i);
-            fresh.schedule(at, i);
+            q.schedule_keyed(at, i as u64, i);
+            fresh.schedule_keyed(at, i as u64, i);
         }
         assert_eq!(drain(&mut q), drain(&mut fresh));
     }
 
     /// Keyed scheduling delivers in `(at, seq)` order regardless of
-    /// insertion order, identically across both queue structures — the
-    /// property sharded simulation relies on.
+    /// insertion order, identically to the heap oracle — the property
+    /// sharded simulation relies on.
     #[test]
     fn keyed_order_is_insertion_invariant() {
         // Two "lanes" with packed (lane << 40 | counter) keys, inserted in
@@ -1237,7 +978,9 @@ mod tests {
         let mut fwd = EventQueue::new();
         let mut rev = EventQueue::new();
         let mut heap = HeapQueue::new();
-        fwd.schedule_batch_keyed(events.iter().copied());
+        for &(at, seq, ev) in &events {
+            fwd.schedule_keyed(at, seq, ev);
+        }
         for &(at, seq, ev) in events.iter().rev() {
             rev.schedule_keyed(at, seq, ev);
             heap.schedule_keyed(at, seq, ev);
@@ -1267,21 +1010,13 @@ mod tests {
             q.schedule_keyed(at, seq, i);
             h.schedule_keyed(at, seq, i);
         }
-        assert!(q.telemetry().engaged);
-        loop {
-            match (q.pop(), h.pop()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!((a.at, a.seq, a.event), (b.at, b.seq, b.event));
-                }
-                _ => panic!("queues diverged in length"),
-            }
-        }
+        assert!(q.engaged);
+        assert_matches_oracle(&mut q, &mut h);
     }
 
-    /// Satellite: after an overflow spill inflates the bucket tier,
-    /// `reset()` releases the excess capacity (bounded retention) instead
-    /// of pinning the run's peak memory across pooled replays.
+    /// After an overflow spill inflates the bucket tier, `reset()`
+    /// releases the excess capacity (bounded retention) instead of
+    /// pinning the run's peak memory across pooled replays.
     #[test]
     fn reset_releases_spill_capacity() {
         let mut q = EventQueue::new();
@@ -1289,10 +1024,10 @@ mod tests {
         // mass on a single tick: the rebuild spills it all into one
         // bucket, which then holds a run-peak-sized allocation.
         for i in 0..2 * ENGAGE_LEN {
-            q.schedule(t(i as u64 % 64), i);
+            q.schedule_keyed(t(i as u64 % 64), i as u64, i);
         }
         for i in 0..60_000 {
-            q.schedule(t(1_000_000), i);
+            q.schedule_keyed(t(1_000_000), i as u64, i);
         }
         while q.pop().is_some() {}
         assert!(q.telemetry().spills >= 1, "no spill provoked");
@@ -1317,8 +1052,8 @@ mod tests {
         let mut fresh = EventQueue::new();
         for i in 0..3 * ENGAGE_LEN {
             let at = t(i as u64 * 37 % 10_000);
-            q.schedule(at, i);
-            fresh.schedule(at, i);
+            q.schedule_keyed(at, i as u64, i);
+            fresh.schedule_keyed(at, i as u64, i);
         }
         assert_eq!(drain(&mut q), drain(&mut fresh));
     }
@@ -1331,42 +1066,278 @@ mod tests {
         for _ in 0..50 {
             q.pop();
         }
-        q.schedule(t(0), 999_999);
+        q.schedule_keyed(t(0), 999_999, 999_999);
         let ev = q.pop().unwrap();
         assert_eq!((ev.at, ev.event), (t(0), 999_999));
     }
 
+    /// The oracle itself delivers ascending `(at, seq)` keys.
     #[test]
     fn heap_queue_basics() {
         let mut q = HeapQueue::new();
-        q.schedule(t(5), "b");
-        q.schedule(t(1), "a");
-        q.schedule(t(5), "c");
-        assert_eq!(q.peek_time(), Some(t(1)));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.scheduled_total(), 3);
-        assert_eq!(q.peak_len(), 3);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-        q.schedule(t(9), "z");
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 4, "clear keeps the lifetime counter");
-        q.schedule(t(2), "y");
-        assert_eq!(q.pop().unwrap().seq, 0, "clear rewinds the sequence");
-        q.reset();
-        assert_eq!(q.scheduled_total(), 0);
+        q.schedule_keyed(t(5), 2, "c");
+        q.schedule_keyed(t(1), 9, "a");
+        q.schedule_keyed(t(5), 1, "b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.seq, e.event))).collect();
+        assert_eq!(order, vec![(9, "a"), (1, "b"), (2, "c")]);
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn discipline_round_trip() {
         let mut q: EventQueue<u8> = EventQueue::new();
-        assert_eq!(q.discipline(), QueueDiscipline::Adaptive);
+        assert_eq!(q.discipline, QueueDiscipline::Adaptive);
         q.set_discipline(QueueDiscipline::Heap);
-        assert_eq!(q.discipline(), QueueDiscipline::Heap);
-        q.schedule(t(1), 1);
+        assert_eq!(q.discipline, QueueDiscipline::Heap);
+        q.schedule_keyed(t(1), 0, 1);
         q.pop();
         q.set_discipline(QueueDiscipline::Adaptive);
-        assert_eq!(q.discipline(), QueueDiscipline::Adaptive);
+        assert_eq!(q.discipline, QueueDiscipline::Adaptive);
+    }
+
+    // --- seeded differentials against the heap oracle -------------------
+
+    /// One step of the differential queue workload: schedule a same-tick
+    /// burst or a ramp of same-tick pairs, schedule a ramp `delay` ticks
+    /// after the last popped event (as a model schedules from its
+    /// clock), pop, or reset. `at` mixes near times, a far band, and the
+    /// representable extremes so the ladder's bucket routing, overflow
+    /// tier, and saturating bound arithmetic all get exercised.
+    #[derive(Debug, Clone, Copy)]
+    enum QueueOp {
+        Schedule { at: u64, burst: usize },
+        Ramp { at: u64, burst: usize },
+        After { delay: u64, burst: usize },
+        Pop { count: usize },
+        Reset,
+    }
+
+    /// Lanes of the differential harness; keys are
+    /// `(lane << 40) | counter`, the simulator's layout.
+    const LANES: u64 = 5;
+
+    /// The adaptive ladder and the heap oracle, fed identically: every
+    /// event is stamped with a lane-packed key, as the simulator does.
+    struct Pair {
+        ladder: EventQueue<u64>,
+        heap: HeapQueue<u64>,
+        lane_seq: [u64; LANES as usize],
+        /// Events pending now, and the most ever pending (the ladder's
+        /// `peak_len`, which survives `reset`).
+        pending: usize,
+        peak: usize,
+        /// Time of the last popped event: the model's clock.
+        now: u64,
+    }
+
+    impl Pair {
+        fn schedule(&mut self, at: SimTime, ev: u64) {
+            let lane = ev % LANES;
+            let c = &mut self.lane_seq[lane as usize];
+            *c += 1;
+            let seq = (lane << 40) | *c;
+            self.ladder.schedule_keyed(at, seq, ev);
+            self.heap.schedule_keyed(at, seq, ev);
+            self.pending += 1;
+            self.peak = self.peak.max(self.pending);
+        }
+
+        /// Pops both, asserting they agree with each other and with the
+        /// ladder's `peek`.
+        fn pop(&mut self) -> Option<ScheduledEvent<u64>> {
+            let head = self.ladder.peek().map(|(at, seq, &ev)| (at, seq, ev));
+            match (self.ladder.pop(), self.heap.pop()) {
+                (None, None) => {
+                    assert_eq!(head, None, "peek saw an event pop did not return");
+                    None
+                }
+                (Some(x), Some(y)) => {
+                    assert_eq!(
+                        (x.at, x.seq, x.event),
+                        (y.at, y.seq, y.event),
+                        "ladder diverged from heap"
+                    );
+                    assert_eq!(
+                        head,
+                        Some((x.at, x.seq, x.event)),
+                        "peek disagreed with pop"
+                    );
+                    self.pending -= 1;
+                    self.now = x.at.ticks();
+                    Some(x)
+                }
+                (a, b) => panic!("length divergence: ladder={a:?} heap={b:?}"),
+            }
+        }
+    }
+
+    /// Applies `ops` to both the adaptive ladder and the heap oracle,
+    /// asserting the popped `(at, seq, event)` streams never diverge,
+    /// then drains both to the end. Returns whether the bucketed near
+    /// tier was live after any op.
+    fn run_differential(ops: &[QueueOp]) -> bool {
+        let mut q = Pair {
+            ladder: EventQueue::new(),
+            heap: HeapQueue::new(),
+            lane_seq: [0; LANES as usize],
+            pending: 0,
+            peak: 0,
+            now: 0,
+        };
+        let mut payload = 0u64;
+        let mut engaged = false;
+        for &op in ops {
+            match op {
+                QueueOp::Schedule { at, burst } => {
+                    for _ in 0..burst {
+                        q.schedule(t(at), payload);
+                        payload += 1;
+                    }
+                }
+                QueueOp::Ramp { at, burst } => {
+                    q.ladder.reserve(burst);
+                    for j in 0..burst {
+                        q.schedule(t(at.saturating_add(j as u64 / 2)), payload);
+                        payload += 1;
+                    }
+                }
+                QueueOp::After { delay, burst } => {
+                    for j in 0..burst as u64 {
+                        q.schedule(t(q.now.saturating_add(delay + j)), payload);
+                        payload += 1;
+                    }
+                }
+                QueueOp::Pop { count } => {
+                    for _ in 0..count {
+                        if q.pop().is_none() {
+                            break;
+                        }
+                    }
+                }
+                QueueOp::Reset => {
+                    q.ladder.reset();
+                    q.heap = HeapQueue::new();
+                    q.lane_seq = [0; LANES as usize];
+                    q.pending = 0;
+                    q.now = 0;
+                }
+            }
+            assert_eq!(q.ladder.len(), q.pending);
+            assert_eq!(q.ladder.peak_len(), q.peak);
+            assert_eq!(q.ladder.peek_time(), q.ladder.peek().map(|(at, _, _)| at));
+            engaged |= q.ladder.engaged;
+        }
+        while q.pop().is_some() {}
+        engaged
+    }
+
+    /// Draws a tick from the seeded differential's time distribution.
+    fn seeded_at(rng: &mut SimRng) -> u64 {
+        match rng.index(6) {
+            0 => rng.int_range(0, 64),
+            1 => rng.int_range(0, 5_000),
+            2 => rng.int_range(100_000, 1_000_000),
+            3 => u64::MAX - 1,
+            4 => u64::MAX,
+            _ => rng.int_range(0, 1_000),
+        }
+    }
+
+    /// Fixed-seed differential workload generator: a small, fast op mix
+    /// (12 seeds) that miri can afford, heavy on same-tick bursts and
+    /// extreme times.
+    #[test]
+    fn ladder_matches_heap_seeded_differential() {
+        for seed in 0..12u64 {
+            let mut rng = SimRng::new(seed * 7 + 1);
+            let mut ops = Vec::new();
+            for _ in 0..rng.int_range(20, 200) {
+                let at = seeded_at(&mut rng);
+                let burst = rng.int_range(1, 12) as usize;
+                ops.push(match rng.index(4) {
+                    0 => QueueOp::Schedule { at, burst },
+                    1 => QueueOp::Ramp { at, burst },
+                    2 => QueueOp::After {
+                        delay: rng.int_range(1, 2_000),
+                        burst,
+                    },
+                    _ => QueueOp::Pop {
+                        count: rng.int_range(1, 20) as usize,
+                    },
+                });
+            }
+            run_differential(&ops);
+        }
+    }
+
+    /// A dense, large seeded workload that reliably pushes the ladder
+    /// through engage → spill → re-engage cycles before draining. Each
+    /// round adds a ramp, then holds: pop one event, schedule one a
+    /// random delay after it, as a model does from its clock.
+    #[test]
+    fn ladder_matches_heap_seeded_hold_model() {
+        let mut rng = SimRng::new(0xD15C);
+        let mut ops = Vec::new();
+        for round in 0..40 {
+            ops.push(QueueOp::Ramp {
+                at: rng.int_range(0, 2_000) + round * 500,
+                burst: 40,
+            });
+            for _ in 0..25 {
+                ops.push(QueueOp::Pop { count: 1 });
+                ops.push(QueueOp::After {
+                    delay: rng.int_range(1, 1_000),
+                    burst: 1,
+                });
+            }
+        }
+        ops.push(QueueOp::Pop { count: usize::MAX });
+        assert!(run_differential(&ops), "the ladder never engaged");
+    }
+
+    /// Any interleaving of bursts, ramps, clock-relative ramps, pops and
+    /// resets — same-tick bursts, `SimTime::MAX`, and `u64::MAX - 1`
+    /// included — produces the exact `(at, seq, event)` stream from the
+    /// adaptive ladder that the heap oracle produces. Ops keep three
+    /// schedule kinds to one pop (mean burst 6 in, mean pop 18 out), so
+    /// the depth has no drift and bursts carry the queue past the engage
+    /// threshold mid-stream; 1 op in 256 is a reset. The queue must engage in at least 1 case in 10, or the
+    /// bucketed tiers go unfuzzed mid-stream.
+    #[test]
+    fn ladder_matches_heap_differential() {
+        const CASES: usize = 256;
+        let mut engaged = 0;
+        cases("ladder_matches_heap_differential", CASES, |rng| {
+            // Half the cases leave out the representable extremes, whose
+            // span stretches every bucket over the whole window.
+            let arms = if rng.index(2) == 0 { 3 } else { 5 };
+            let ops: Vec<QueueOp> = (0..rng.int_range(1, 149))
+                .map(|_| {
+                    let kind = rng.index(4);
+                    let reset = rng.index(256) == 0;
+                    let at = match rng.index(arms) {
+                        0 => rng.int_range(0, 63),
+                        1 => rng.int_range(0, 4_999),
+                        2 => rng.int_range(100_000, 999_999),
+                        3 => u64::MAX - 1,
+                        _ => u64::MAX,
+                    };
+                    let delay = rng.int_range(1, 1_999);
+                    let n = rng.int_range(1, 11) as usize;
+                    match kind {
+                        _ if reset => QueueOp::Reset,
+                        0 => QueueOp::Schedule { at, burst: n },
+                        1 => QueueOp::Ramp { at, burst: n },
+                        2 => QueueOp::After { delay, burst: n },
+                        _ => QueueOp::Pop { count: n * 3 },
+                    }
+                })
+                .collect();
+            engaged += usize::from(run_differential(&ops));
+        });
+        assert!(
+            engaged * 10 >= CASES,
+            "ladder engaged in {engaged}/{CASES} cases"
+        );
     }
 }

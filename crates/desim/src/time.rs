@@ -64,18 +64,6 @@ impl SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition; `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
-        self.0.checked_add(rhs.0).map(SimTime)
-    }
-
-    /// True if this is time zero.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// The larger of two times.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -172,8 +160,6 @@ mod tests {
         assert_eq!(SimTime::from_ticks(42).ticks(), 42);
         assert_eq!(SimTime::from(7u64), SimTime::from_ticks(7));
         assert_eq!(SimTime::ZERO.ticks(), 0);
-        assert!(SimTime::ZERO.is_zero());
-        assert!(!SimTime::from_ticks(1).is_zero());
     }
 
     #[test]
@@ -198,15 +184,6 @@ mod tests {
     fn addition_saturates_at_max() {
         assert_eq!(SimTime::MAX + SimTime::from_ticks(1), SimTime::MAX);
         assert_eq!(SimTime::MAX * 2, SimTime::MAX);
-    }
-
-    #[test]
-    fn checked_add_detects_overflow() {
-        assert_eq!(SimTime::MAX.checked_add(SimTime::from_ticks(1)), None);
-        assert_eq!(
-            SimTime::from_ticks(1).checked_add(SimTime::from_ticks(2)),
-            Some(SimTime::from_ticks(3))
-        );
     }
 
     #[test]

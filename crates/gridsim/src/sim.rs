@@ -530,6 +530,11 @@ impl SimTemplate {
 
     /// Like [`SimTemplate::run`], but also records a [`Timeline`] sampled
     /// every `sample_interval` ticks.
+    ///
+    /// Samples are events on the global lane, so the report differs from
+    /// [`SimTemplate::run`]'s in two fields: `events_processed` counts one
+    /// more event per sample, and `event_fingerprint` folds them in.
+    /// Every other field is the same.
     pub fn run_with_timeline<P: Policy + ?Sized>(
         &self,
         enablers: Enablers,

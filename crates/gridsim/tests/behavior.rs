@@ -545,14 +545,24 @@ mod timeline {
         );
     }
 
+    /// Samples are events on the global lane, so a sampled run processes
+    /// one more event per sample and folds them into its fingerprint.
+    /// Every other report field must equal the plain run's.
     #[test]
     fn plain_run_records_nothing() {
         let cfg = base_cfg();
         let template = SimTemplate::new(&cfg);
-        // Just exercises that the no-timeline path still works identically.
         let a = template.run(cfg.enablers, &mut LocalOnly);
-        let (b, _) = template.run_with_timeline(cfg.enablers, &mut LocalOnly, 5_000);
-        assert_eq!(a.f_work, b.f_work, "sampling must not perturb results");
-        assert_eq!(a.completed, b.completed);
+        let (mut b, tl) = template.run_with_timeline(cfg.enablers, &mut LocalOnly, 5_000);
+        assert!(!tl.is_empty());
+        assert_eq!(b.events_processed, a.events_processed + tl.len() as u64);
+        assert_ne!(b.event_fingerprint, a.event_fingerprint);
+        b.events_processed = a.events_processed;
+        b.event_fingerprint = a.event_fingerprint;
+        assert_eq!(
+            format!("{a:?}"),
+            format!("{b:?}"),
+            "sampling must not perturb results"
+        );
     }
 }

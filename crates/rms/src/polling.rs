@@ -56,11 +56,6 @@ impl PollPlacer {
         }
     }
 
-    /// Number of jobs currently held awaiting replies.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Holds `job` and polls `L_p` random remote schedulers. Falls back to
     /// a local least-loaded dispatch when the Grid has no peers.
     pub fn start(&mut self, ctx: &mut Ctx, home: usize, job: Job) {

@@ -74,11 +74,6 @@ impl DependencyGraph {
         DependencyGraph::new(n, edges).expect("generated edges are forward by construction")
     }
 
-    /// Number of jobs covered.
-    pub fn job_count(&self) -> usize {
-        self.n
-    }
-
     /// All edges, sorted and deduplicated.
     pub fn edges(&self) -> &[(JobId, JobId)] {
         &self.edges
